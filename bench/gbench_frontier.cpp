@@ -98,25 +98,6 @@ BENCHMARK(BM_Frontier_Cluster)
     ->Arg(300)
     ->Unit(benchmark::kMicrosecond);
 
-// A/B control: the same engine with the arena mirror off — every test pays
-// the per-vector binary searches the cursor path amortizes away.
-void BM_Frontier_ClusterLegacy(benchmark::State& state) {
-  const Trace& t = trace_for(static_cast<std::size_t>(state.range(0)));
-  ClusterEngineConfig config{.max_cluster_size = 13,
-                             .fm_vector_width = 300,
-                             .use_arena = false};
-  ClusterTimestampEngine engine(t.process_count(), config,
-                                make_merge_on_nth(10));
-  engine.observe_trace(t);
-  run_frontiers(state, t, [&](EventId a, EventId b) {
-    return engine.precedes(t.event(a), t.event(b));
-  });
-}
-BENCHMARK(BM_Frontier_ClusterLegacy)
-    ->Arg(100)
-    ->Arg(300)
-    ->Unit(benchmark::kMicrosecond);
-
 // The batched frontier kernel: a frontier query tests thousands of events
 // against ONE fixed anchor, so the cursor resolves the anchor's row, dense
 // covered-set index, and greatest-cluster-receive rows once per query
@@ -165,95 +146,71 @@ BENCHMARK(BM_Frontier_OnDemandFm)
     ->Iterations(3)
     ->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------- arena acceptance verification
+// ------------------------------------------------ exactness verification
 
 /// The acceptance gate run before every benchmark session: at the largest
 /// standard size the cursor path must answer every single precedence test
-/// of every frontier query exactly like the legacy engine — verified
-/// inside the query (test-for-test), not just on the final frontiers.
+/// of every frontier query exactly like pre-computed Fidge/Mattern —
+/// verified inside the query (test-for-test), not just on the final
+/// frontiers.
 void verify_cursor_exactness() {
   constexpr std::size_t kN = 300;
   const Trace& t = trace_for(kN);
-  ClusterEngineConfig fast_cfg{.max_cluster_size = 13,
-                               .fm_vector_width = 300};
-  ClusterEngineConfig slow_cfg = fast_cfg;
-  slow_cfg.use_arena = false;
-  ClusterTimestampEngine fast(t.process_count(), fast_cfg,
-                              make_merge_on_nth(10));
-  ClusterTimestampEngine slow(t.process_count(), slow_cfg,
-                              make_merge_on_nth(10));
-  fast.observe_trace(t);
-  slow.observe_trace(t);
+  const ClusterEngineConfig config{.max_cluster_size = 13,
+                                   .fm_vector_width = 300};
+  ClusterTimestampEngine engine(t.process_count(), config,
+                                make_merge_on_nth(10));
+  engine.observe_trace(t);
+  const FmStore fm(t);
 
   const auto probes = probe_events(t, 64);
   const auto size_of = [&](ProcessId q) { return t.process_size(q); };
-  std::size_t tests = 0;
-  for (const EventId e : probes) {
-    const auto cur = fast.cursor(t.event(e));
-    const auto checked = [&](EventId a, EventId b) {
-      const bool fast_answer = a == e ? cur.anchor_precedes(t.event(b))
-                                      : cur.precedes_anchor(t.event(a));
-      const bool slow_answer = slow.precedes(t.event(a), t.event(b));
-      CT_CHECK_MSG(fast_answer == slow_answer,
-                   "cursor/legacy disagree on " << a << " -> " << b);
-      ++tests;
-      return fast_answer;
-    };
-    const auto via_cursor =
-        compute_frontiers_with(t.process_count(), e, checked, size_of);
-    const auto via_legacy = compute_frontiers_with(
+  const auto via_cursor = [&](EventId e, auto&& check) {
+    const auto cur = engine.cursor(t.event(e));
+    return compute_frontiers_with(
         t.process_count(), e,
         [&](EventId a, EventId b) {
-          return slow.precedes(t.event(a), t.event(b));
+          const bool answer = a == e ? cur.anchor_precedes(t.event(b))
+                                     : cur.precedes_anchor(t.event(a));
+          check(a, b, answer);
+          return answer;
         },
         size_of);
-    CT_CHECK_MSG(
-        via_cursor.greatest_predecessor == via_legacy.greatest_predecessor &&
-            via_cursor.greatest_concurrent == via_legacy.greatest_concurrent,
-        "frontiers diverge at probe " << e);
+  };
+  std::size_t tests = 0;
+  for (const EventId e : probes) {
+    const auto got = via_cursor(e, [&](EventId a, EventId b, bool answer) {
+      CT_CHECK_MSG(answer == fm.precedes(a, b),
+                   "cursor/FM disagree on " << a << " -> " << b);
+      ++tests;
+    });
+    const auto want = compute_frontiers_with(
+        t.process_count(), e,
+        [&](EventId a, EventId b) { return fm.precedes(a, b); }, size_of);
+    CT_CHECK_MSG(got.greatest_predecessor == want.greatest_predecessor &&
+                     got.greatest_concurrent == want.greatest_concurrent,
+                 "frontiers diverge at probe " << e);
   }
 
   // Timing on the verified workload: full frontier queries, best of 3.
   using clock = std::chrono::steady_clock;
-  const auto run = [&](auto&& precedes) {
-    double best = 1e100;
-    for (int rep = 0; rep < 3; ++rep) {
-      std::size_t total = 0;
-      const auto start = clock::now();
-      for (const EventId e : probes) {
-        total += precedes(e).precedence_tests;
-      }
-      const double s =
-          std::chrono::duration<double>(clock::now() - start).count();
-      benchmark::DoNotOptimize(total);
-      best = std::min(best, s);
+  double best = 1e100;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::size_t total = 0;
+    const auto start = clock::now();
+    for (const EventId e : probes) {
+      total += via_cursor(e, [](EventId, EventId, bool) {}).precedence_tests;
     }
-    return best;
-  };
-  const double slow_s = run([&](EventId e) {
-    return compute_frontiers_with(
-        t.process_count(), e,
-        [&](EventId a, EventId b) {
-          return slow.precedes(t.event(a), t.event(b));
-        },
-        size_of);
-  });
-  const double fast_s = run([&](EventId e) {
-    const auto cur = fast.cursor(t.event(e));
-    return compute_frontiers_with(
-        t.process_count(), e,
-        [&](EventId a, EventId b) {
-          return a == e ? cur.anchor_precedes(t.event(b))
-                        : cur.precedes_anchor(t.event(a));
-        },
-        size_of);
-  });
+    const double s =
+        std::chrono::duration<double>(clock::now() - start).count();
+    benchmark::DoNotOptimize(total);
+    best = std::min(best, s);
+  }
   const double per = 1e6 / static_cast<double>(probes.size());
   std::printf(
       "[perf] N=%zu: %zu frontier queries (%zu precedence tests) verified "
-      "cursor == legacy\n[perf] frontier speedup %.2fx (legacy %.1f "
-      "us/query, cursor %.1f us/query)\n\n",
-      kN, probes.size(), tests, slow_s / fast_s, slow_s * per, fast_s * per);
+      "cursor == FM\n[perf] cursor frontier %.1f us/query\n\n",
+      kN, probes.size(), tests, best * per);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -88,31 +89,6 @@ void BM_Precedence_Cluster(benchmark::State& state) {
       static_cast<double>(t.event_count());
 }
 BENCHMARK(BM_Precedence_Cluster)->Arg(50)->Arg(100)->Arg(200)->Arg(300);
-
-// The A/B control for the performance layer: same engine, same queries,
-// arena mirror off — per-vector heap hops and binary searches instead of
-// contiguous rows and dense position indices. main() verifies both paths
-// agree query-for-query before any timing runs.
-void BM_Precedence_ClusterLegacy(benchmark::State& state) {
-  const Trace& t = trace_for(static_cast<std::size_t>(state.range(0)));
-  ClusterEngineConfig config{.max_cluster_size = 13,
-                             .fm_vector_width = 300,
-                             .use_arena = false};
-  ClusterTimestampEngine engine(t.process_count(), config,
-                                make_merge_on_nth(10));
-  engine.observe_trace(t);
-  const auto pairs = query_pairs(t, 1024);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [e, f] = pairs[i++ & 1023];
-    benchmark::DoNotOptimize(engine.precedes(t.event(e), t.event(f)));
-  }
-}
-BENCHMARK(BM_Precedence_ClusterLegacy)
-    ->Arg(50)
-    ->Arg(100)
-    ->Arg(200)
-    ->Arg(300);
 
 // The POET/OLT strategy: bounded cache, compute forward on miss. This is
 // the configuration the paper blames for minutes-long scrolling at N≈1000;
@@ -253,11 +229,11 @@ BENCHMARK(BM_BPlusTree_InsertLookup)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------- arena acceptance verification
+// ------------------------------------------------ exactness verification
 
 /// Seconds (best of 3) to answer `pairs` through `engine`. The event
-/// records are pre-resolved so the loop times the precedence paths, not
-/// the trace's bounds-checked event lookups (shared by both variants).
+/// records are pre-resolved so the loop times the precedence path, not
+/// the trace's bounds-checked event lookups.
 double time_precedes(
     const ClusterTimestampEngine& engine,
     const std::vector<std::pair<const Event*, const Event*>>& pairs) {
@@ -278,36 +254,33 @@ double time_precedes(
 }
 
 /// The acceptance gate run before every benchmark session: at the largest
-/// standard size the arena path must answer every query exactly like the
-/// legacy path (plain AND metered, including tick accounting) — only then
-/// are the timing numbers comparing like with like.
-void verify_arena_exactness() {
+/// standard size the engine must answer every query exactly like
+/// pre-computed Fidge/Mattern (plain AND metered, with precedes() charging
+/// the metered ticks) — only then are the timing numbers meaningful.
+void verify_engine_exactness() {
   constexpr std::size_t kN = 300;
   const Trace& t = trace_for(kN);
-  ClusterEngineConfig fast_cfg{.max_cluster_size = 13,
-                               .fm_vector_width = 300};
-  ClusterEngineConfig slow_cfg = fast_cfg;
-  slow_cfg.use_arena = false;
-  ClusterTimestampEngine fast(t.process_count(), fast_cfg,
-                              make_merge_on_nth(10));
-  ClusterTimestampEngine slow(t.process_count(), slow_cfg,
-                              make_merge_on_nth(10));
-  fast.observe_trace(t);
-  slow.observe_trace(t);
+  const ClusterEngineConfig config{.max_cluster_size = 13,
+                                   .fm_vector_width = 300};
+  ClusterTimestampEngine engine(t.process_count(), config,
+                                make_merge_on_nth(10));
+  engine.observe_trace(t);
+  const FmStore fm(t);
 
   const auto pairs = query_pairs(t, 1 << 15);
   for (const auto& [e, f] : pairs) {
-    const bool a = fast.precedes(t.event(e), t.event(f));
-    const bool b = slow.precedes(t.event(e), t.event(f));
-    CT_CHECK_MSG(a == b, "arena/legacy disagree on " << e << " -> " << f);
+    CT_CHECK_MSG(engine.precedes(t.event(e), t.event(f)) == fm.precedes(e, f),
+                 "engine/FM disagree on " << e << " -> " << f);
   }
   for (std::size_t i = 0; i < 4096; ++i) {
     const auto& [e, f] = pairs[i];
-    QueryCost ca, cb;
-    const auto a = fast.precedes_metered(t.event(e), t.event(f), ca);
-    const auto b = slow.precedes_metered(t.event(e), t.event(f), cb);
-    CT_CHECK_MSG(a == b && ca.ticks == cb.ticks,
-                 "metered arena/legacy diverge on " << e << " -> " << f);
+    QueryCost cost;
+    const auto metered = engine.precedes_metered(t.event(e), t.event(f), cost);
+    const std::uint64_t before = engine.comparisons();
+    (void)engine.precedes(t.event(e), t.event(f));
+    CT_CHECK_MSG(metered == fm.precedes(e, f) &&
+                     engine.comparisons() - before == cost.ticks,
+                 "metered engine diverges on " << e << " -> " << f);
   }
 
   std::vector<std::pair<const Event*, const Event*>> records;
@@ -315,21 +288,19 @@ void verify_arena_exactness() {
   for (const auto& [e, f] : pairs) {
     records.emplace_back(&t.event(e), &t.event(f));
   }
-  const double slow_s = time_precedes(slow, records);
-  const double fast_s = time_precedes(fast, records);
+  const double query_s = time_precedes(engine, records);
   const double per = 1e9 / static_cast<double>(pairs.size());
   std::printf(
-      "[perf] N=%zu: %zu query pairs verified arena == legacy (answers and "
-      "ticks)\n[perf] precedence speedup %.2fx (legacy %.1f ns/query, arena "
-      "%.1f ns/query)\n\n",
-      kN, pairs.size(), slow_s / fast_s, slow_s * per, fast_s * per);
+      "[perf] N=%zu: %zu query pairs verified engine == FM (answers and "
+      "ticks)\n[perf] engine precedence %.1f ns/query\n\n",
+      kN, pairs.size(), query_s * per);
 }
 
 }  // namespace
 }  // namespace ct
 
 int main(int argc, char** argv) {
-  ct::verify_arena_exactness();
+  ct::verify_engine_exactness();
   auto args = ct::bench::gbench_args(argc, argv, "gbench_precedence");
   benchmark::Initialize(&args.argc, args.argv.data());
   // Which dispatch tier served this run (CT_KERNEL_TIER-overridable);

@@ -142,12 +142,12 @@ int main(int argc, char** argv) {
       (void)probe;
     });
     const DifferentialStore diff(t, 16);
-    // --- tree clock (arena) ---
+    // --- tree clock (arena/interned) ---
     const double tree_ingest = time_ns_per(events, [&] {
-      TreeClockStore probe(t, /*use_arena=*/true);
+      TreeClockStore probe(t);
       (void)probe;
     });
-    const TreeClockStore tree(t, /*use_arena=*/true);
+    const TreeClockStore tree(t);
 
     // --- cluster timestamps (merge-on-1st, dynamic) per maxCS ---
     struct ClusterCell {

@@ -14,6 +14,12 @@ std::size_t encoded_projection_width(const ClusterEngineConfig& config) {
                                            : config.max_cluster_size;
 }
 
+/// Out-of-line failure path of the query entry points, so the message
+/// formatting stays out of their fast path.
+[[noreturn, gnu::cold, gnu::noinline]] void fail_unobserved(EventId e) {
+  CT_CHECK_MSG(false, "event " << e << " has not been observed");
+}
+
 }  // namespace
 
 ClusterTimestampEngine::ClusterTimestampEngine(
@@ -31,15 +37,7 @@ ClusterTimestampEngine::ClusterTimestampEngine(
                "fm_vector_width " << config_.fm_vector_width
                                   << " cannot encode " << process_count
                                   << " processes");
-  if (config_.use_arena) {
-    // Interning stays OFF: repair clones overwrite rows in place, and sync
-    // halves (identical vectors) would otherwise alias.
-    snap_.store(new ArenaSnapshot(process_count,
-                                  TsArena::Options{.intern = false}),
-                std::memory_order_release);
-    row_handles_.resize(process_count);
-    receive_rows_.resize(process_count);
-  }
+  init_snapshot(process_count);
 }
 
 ClusterTimestampEngine::~ClusterTimestampEngine() {
@@ -76,13 +74,17 @@ ClusterTimestampEngine::ClusterTimestampEngine(
                "partition has a cluster of "
                    << clusters_.max_cluster_size()
                    << " processes, larger than the encoding width " << width);
-  if (config_.use_arena) {
-    snap_.store(new ArenaSnapshot(process_count,
-                                  TsArena::Options{.intern = false}),
-                std::memory_order_release);
-    row_handles_.resize(process_count);
-    receive_rows_.resize(process_count);
-  }
+  init_snapshot(process_count);
+}
+
+void ClusterTimestampEngine::init_snapshot(std::size_t process_count) {
+  // Interning stays OFF: repair clones overwrite rows in place, and sync
+  // halves (identical vectors) would otherwise alias.
+  snap_.store(new ArenaSnapshot(process_count,
+                                TsArena::Options{.intern = false}),
+              std::memory_order_release);
+  row_handles_.resize(process_count);
+  receive_rows_.resize(process_count);
 }
 
 bool ClusterTimestampEngine::classify_cluster_receive(
@@ -170,32 +172,30 @@ const ClusterTimestamp& ClusterTimestampEngine::store(const Event& e,
   }
   exact_words_ += ts.values.size();
 
-  if (config_.use_arena) {
-    // Ingestion is the single-writer phase: appends go straight into the
-    // published snapshot (no readers may run concurrently with observe(),
-    // per the TsArena invalidation contract).
-    ArenaSnapshot& snap = *snap_.load(std::memory_order_relaxed);
-    const ProcessId p = e.id.process;
-    const TsArena::RowHandle h =
-        snap.arena.append(p, ts.values.data(), ts.values.size());
-    row_handles_[p].push_back(h);
-    RowRef ref{snap.arena.offset_of(h), kFullRowAux,
-               static_cast<std::uint32_t>(snap.probe_pool[p].size())};
-    if (ts.cluster_receive) {
-      receive_rows_[p].push_back(h);
-    } else {
-      ref.aux = covered_set_id(snap, ts.covered);
-      // Resolve the greatest-cluster-receive probe per covered slot NOW:
-      // the query-time binary search of the legacy path, paid once here
-      // (the resolved set is final — see resolve_probe).
-      const auto& procs = *ts.covered;
-      for (std::size_t i = 0; i < procs.size(); ++i) {
-        snap.probe_pool[p].push_back(
-            resolve_probe(snap, procs[i], ts.values[i]));
-      }
+  // Ingestion is the single-writer phase: appends go straight into the
+  // published snapshot (no readers may run concurrently with observe(), per
+  // the TsArena invalidation contract).
+  ArenaSnapshot& snap = *snap_.load(std::memory_order_relaxed);
+  const ProcessId p = e.id.process;
+  const TsArena::RowHandle h =
+      snap.arena.append(p, ts.values.data(), ts.values.size());
+  row_handles_[p].push_back(h);
+  RowRef ref{snap.arena.offset_of(h), kFullRowAux,
+             static_cast<std::uint32_t>(snap.probe_pool[p].size())};
+  if (ts.cluster_receive) {
+    receive_rows_[p].push_back(h);
+  } else {
+    ref.aux = covered_set_id(snap, ts.covered);
+    // Resolve the greatest-cluster-receive probe per covered slot NOW, once
+    // per stored row instead of once per query (the resolved set is final —
+    // see resolve_probe).
+    const auto& procs = *ts.covered;
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      snap.probe_pool[p].push_back(
+          resolve_probe(snap, procs[i], ts.values[i]));
     }
-    snap.row_refs[p].push_back(ref);
   }
+  snap.row_refs[p].push_back(ref);
 
   list.push_back(std::move(ts));
   return list.back();
@@ -247,16 +247,13 @@ void ClusterTimestampEngine::observe_trace(const Trace& trace) {
   CT_CHECK_MSG(trace.process_count() == ts_.size(),
                "trace has " << trace.process_count()
                             << " processes, engine built for " << ts_.size());
-  if (config_.use_arena) {
-    // Allocation-churn satellite: the trace knows its totals, so the mirror
-    // pool is sized once. Projections are bounded by maxCS, full vectors by
-    // the process count; the sum overshoots but caps at one allocation.
-    const std::size_t n = trace.delivery_order().size();
-    snap_.load(std::memory_order_relaxed)
-        ->arena.reserve(n,
-                        n * std::min(ts_.size(), config_.max_cluster_size) +
-                            trace.process_count());
-  }
+  // The trace knows its totals, so the arena pool is sized once.
+  // Projections are bounded by maxCS, full vectors by the process count; the
+  // sum overshoots but caps at one allocation.
+  const std::size_t n = trace.delivery_order().size();
+  snap_.load(std::memory_order_relaxed)
+      ->arena.reserve(n, n * std::min(ts_.size(), config_.max_cluster_size) +
+                             trace.process_count());
   for (const EventId id : trace.delivery_order()) observe(trace.event(id));
 }
 
@@ -269,71 +266,29 @@ const ClusterTimestamp& ClusterTimestampEngine::timestamp(EventId e) const {
 
 bool ClusterTimestampEngine::precedes(const Event& ev_e,
                                       const Event& ev_f) const {
-  if (config_.use_arena) return precedes_arena(ev_e, ev_f);
   QueryCost unlimited;
-  const auto answer = precedes_metered_legacy(ev_e, ev_f, unlimited);
+  const auto answer = precedes_metered(ev_e, ev_f, unlimited);
   comparisons_.fetch_add(unlimited.ticks, std::memory_order_relaxed);
   return *answer;
 }
 
-bool ClusterTimestampEngine::precedes_arena(const Event& ev_e,
-                                            const Event& ev_f) const {
+std::optional<bool> ClusterTimestampEngine::precedes_metered(
+    const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
   const EventId e = ev_e.id;
   const EventId f = ev_f.id;
   if (e == f) return false;
   if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
-  CT_DCHECK(f.process < ts_.size() && f.index >= 1 &&
-            f.index <= ts_[f.process].size());
 
   // One snapshot load per query: every pointer below derives from it, so a
   // concurrent repair publishing a newer snapshot cannot mix states.
   const ArenaSnapshot& snap = *snapshot();
+  if (!snap.observed(f)) [[unlikely]] fail_unobserved(f);
   const RowRef& ref = snap.row_refs[f.process][f.index - 1];
   const EventIndex* pool = snap.arena.pool_data();
   const EventIndex* row = pool + ref.offset;
 
-  comparisons_.fetch_add(1, std::memory_order_relaxed);
-  if (ref.aux == kFullRowAux) return e.index <= row[e.process];
-  const CoveredSet& cs = snap.covered_sets[ref.aux];
-  if (const std::int32_t slot = cs.pos[e.process]; slot >= 0) {
-    return e.index <= row[static_cast<std::size_t>(slot)];
-  }
-
-  const std::uint32_t* probes =
-      snap.probe_pool[f.process].data() + ref.probe_off;
-  const std::size_t width = cs.procs->size();
-  for (std::size_t i = 0; i < width; ++i) {
-    const std::uint32_t off = probes[i];
-    if (off == kNoProbe) continue;  // no cluster receive seen yet
-    comparisons_.fetch_add(1, std::memory_order_relaxed);
-    if (e.index <= pool[off + e.process]) return true;
-  }
-  return false;
-}
-
-std::optional<bool> ClusterTimestampEngine::precedes_metered(
-    const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
-  if (config_.use_arena) return precedes_metered_arena(ev_e, ev_f, cost);
-  return precedes_metered_legacy(ev_e, ev_f, cost);
-}
-
-std::optional<bool> ClusterTimestampEngine::precedes_metered_arena(
-    const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
-  const EventId e = ev_e.id;
-  const EventId f = ev_f.id;
-  if (e == f) return false;
-  if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
-  CT_CHECK_MSG(f.process < ts_.size() && f.index >= 1 &&
-                   f.index <= ts_[f.process].size(),
-               "event " << f << " has not been observed");
-
-  const ArenaSnapshot& snap = *snapshot();
-  const RowRef& ref = snap.row_refs[f.process][f.index - 1];
-  const EventIndex* pool = snap.arena.pool_data();
-  const EventIndex* row = pool + ref.offset;
-
-  // Tick accounting mirrors the legacy path exactly: one charge for the
-  // direct test, one per greatest-cluster-receive probe.
+  // Tick accounting: one charge for the direct test, one per
+  // greatest-cluster-receive probe.
   if (!cost.charge(1)) return std::nullopt;
   if (ref.aux == kFullRowAux) return e.index <= row[e.process];
   const CoveredSet& cs = snap.covered_sets[ref.aux];
@@ -353,42 +308,6 @@ std::optional<bool> ClusterTimestampEngine::precedes_metered_arena(
   return false;
 }
 
-std::optional<bool> ClusterTimestampEngine::precedes_metered_legacy(
-    const Event& ev_e, const Event& ev_f, QueryCost& cost) const {
-  const EventId e = ev_e.id;
-  const EventId f = ev_f.id;
-  if (e == f) return false;
-  // Sync partners carry identical vectors but are mutually concurrent.
-  if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
-
-  const ClusterTimestamp& tf = timestamp(f);
-
-  // Direct test: FM(e)[p_e] is e's own index; exact whenever f's timestamp
-  // covers e's process (same cluster, or f is a full cluster receive).
-  if (!cost.charge(1)) return std::nullopt;
-  if (const auto comp = tf.component(e.process)) return e.index <= *comp;
-
-  // e's process is outside covered(f): any causal path from e into f's
-  // cluster must enter through a non-merged cluster receive. For each
-  // covered process q, test against the greatest cluster receive of q that
-  // f has seen (index ≤ TS(f)[q]).
-  const auto& covered = *tf.covered;
-  for (std::size_t i = 0; i < covered.size(); ++i) {
-    const ProcessId q = covered[i];
-    const EventIndex bound = tf.values[i];
-    const auto& receives = cluster_receives_[q];
-    const auto it =
-        std::upper_bound(receives.begin(), receives.end(), bound);
-    if (it == receives.begin()) continue;  // no cluster receive seen yet
-    const EventIndex r_index = *(it - 1);
-    const ClusterTimestamp& tr = ts_[q][r_index - 1];
-    CT_DCHECK(tr.is_full());
-    if (!cost.charge(1)) return std::nullopt;
-    if (e.index <= tr.values[e.process]) return true;
-  }
-  return false;
-}
-
 std::size_t ClusterTimestampEngine::precedes_batch_metered(
     std::span<const std::pair<const Event*, const Event*>> pairs,
     QueryCost& cost, std::optional<bool>* out) const {
@@ -396,7 +315,7 @@ std::size_t ClusterTimestampEngine::precedes_batch_metered(
   // mid-batch budget exhaustion), so budget-limited calls take the
   // sequential loop — which is also the tick-accounting oracle the fast
   // path must match: answers AND ticks are bit-identical by construction.
-  if (!config_.use_arena || cost.budget != 0) {
+  if (cost.budget != 0) {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const auto answer = precedes_metered(*pairs[i].first, *pairs[i].second,
                                            cost);
@@ -432,9 +351,7 @@ std::size_t ClusterTimestampEngine::precedes_batch_metered(
       out[i] = false;  // decided before any charge, like the scalar path
       continue;
     }
-    CT_CHECK_MSG(f.process < ts_.size() && f.index >= 1 &&
-                     f.index <= ts_[f.process].size(),
-                 "event " << f << " has not been observed");
+    if (!snap.observed(f)) [[unlikely]] fail_unobserved(f);
     const RowRef& ref = snap.row_refs[f.process][f.index - 1];
     const EventIndex* row = pool + ref.offset;
     ++ticks;  // the direct test
@@ -483,8 +400,6 @@ ClusterTimestampEngine::PrecedenceCursor::PrecedenceCursor(
       guard_(util::EpochDomain::global().pin()),
       anchor_(anchor.id),
       anchor_partner_(kNoEvent) {
-  CT_CHECK_MSG(engine_.config_.use_arena,
-               "PrecedenceCursor requires config.use_arena");
   CT_CHECK_MSG(anchor_.process < engine_.ts_.size() && anchor_.index >= 1 &&
                    anchor_.index <= engine_.ts_[anchor_.process].size(),
                "event " << anchor_ << " has not been observed");
@@ -714,21 +629,18 @@ void ClusterTimestampEngine::inject_corruption(EventId e, std::size_t slot,
   auto& values = ts_[e.process][e.index - 1].values;
   CT_CHECK_MSG(!values.empty(), "timestamp of " << e << " has no components");
   values[slot % values.size()] = value;
-  if (config_.use_arena) {
-    // The fast path must observe the corrupted value too, or the A/B flag
-    // would change the failure-detection behaviour under audit. A mutated
-    // projection component also shifts its greatest-cluster-receive bound,
-    // which the legacy path re-searches per query — follow it. The mutation
-    // happens on a writer-private clone published with one atomic swap, so
-    // in-flight readers keep a coherent (pre-corruption) snapshot.
-    std::lock_guard<std::mutex> writer(snap_writer_mu_);
-    auto next = std::make_unique<ArenaSnapshot>(
-        *snap_.load(std::memory_order_acquire));
-    next->arena.overwrite_component(row_handles_[e.process][e.index - 1],
-                                    slot % values.size(), value);
-    refresh_probes(*next, e);
-    publish_snapshot(std::move(next));
-  }
+  // Queries read the arena, so it must carry the corrupted value too. A
+  // mutated projection component also shifts its greatest-cluster-receive
+  // bound — re-resolve the row's probes against it. The mutation happens on
+  // a writer-private clone published with one atomic swap, so in-flight
+  // readers keep a coherent (pre-corruption) snapshot.
+  std::lock_guard<std::mutex> writer(snap_writer_mu_);
+  auto next =
+      std::make_unique<ArenaSnapshot>(*snap_.load(std::memory_order_acquire));
+  next->arena.overwrite_component(row_handles_[e.process][e.index - 1],
+                                  slot % values.size(), value);
+  refresh_probes(*next, e);
+  publish_snapshot(std::move(next));
 }
 
 std::uint64_t ClusterTimestampEngine::rebuild_cluster(
@@ -743,13 +655,9 @@ std::uint64_t ClusterTimestampEngine::rebuild_cluster(
   // the repaired state. Readers never see a half-rebuilt cluster and are
   // never blocked — the old snapshot stays valid until its grace period
   // ends (util/epoch.hpp).
-  std::unique_lock<std::mutex> writer(snap_writer_mu_, std::defer_lock);
-  std::unique_ptr<ArenaSnapshot> next;
-  if (config_.use_arena) {
-    writer.lock();
-    next = std::make_unique<ArenaSnapshot>(
-        *snap_.load(std::memory_order_acquire));
-  }
+  std::lock_guard<std::mutex> writer(snap_writer_mu_);
+  auto next =
+      std::make_unique<ArenaSnapshot>(*snap_.load(std::memory_order_acquire));
 
   FmEngine scratch(ts_.size());
   std::uint64_t elements_written = 0;
@@ -769,26 +677,22 @@ std::uint64_t ClusterTimestampEngine::rebuild_cluster(
         ts.values[i] = fm[procs[i]];
       }
     }
-    if (next) {
-      next->arena.overwrite_row(row_handles_[e.id.process][e.id.index - 1],
-                                ts.values.data(), ts.values.size());
-      refresh_probes(*next, e.id);
-    }
+    next->arena.overwrite_row(row_handles_[e.id.process][e.id.index - 1],
+                              ts.values.data(), ts.values.size());
+    refresh_probes(*next, e.id);
     elements_written += ts.values.size();
   }
-  if (next) publish_snapshot(std::move(next));
+  publish_snapshot(std::move(next));
   return elements_written;
 }
 
 std::size_t ClusterTimestampEngine::arena_words() const {
-  const ArenaSnapshot* snap = snapshot();
-  return snap != nullptr ? snap->arena.pool_words() : 0;
+  return snapshot()->arena.pool_words();
 }
 
 void ClusterTimestampEngine::export_arena(ArenaExportSink& sink) const {
   static_assert(kExportFullRow == kFullRowAux &&
                 kExportNoProbe == kNoProbe);
-  CT_CHECK_MSG(config_.use_arena, "export_arena requires arena mode");
   const ArenaSnapshot& snap = *snapshot();
   sink.pool(snap.arena.pool_data(), snap.arena.pool_words());
   for (std::size_t id = 0; id < snap.covered_sets.size(); ++id) {

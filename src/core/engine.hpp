@@ -26,16 +26,14 @@
 // path entering covered(f) from outside must pass through a non-merged
 // cluster receive (whose full vector the engine retained).
 //
-// Performance layer (docs/PERF.md): with config.use_arena (the default) the
-// engine mirrors every stored row into a flat TsArena and keeps a dense
-// process→position index per covered set, so the test above runs over
-// contiguous pools with O(1) component lookups (core/precedence_kernels.hpp)
-// instead of per-vector heap hops and binary searches. The mirror is an
-// acceleration structure only: ts_ remains the canonical store for digests,
-// corruption injection and rebuilds (which keep the mirror coherent), and
-// answers are bit-identical to the legacy path — asserted across all trace
-// families by tests/perf_layer_test.cpp and re-verified pair-for-pair inside
-// the gbench binaries.
+// Layout (docs/PERF.md): queries never read ts_. Every stored row is
+// mirrored into a flat TsArena, each covered set carries a dense
+// process→position index, and each projection row's greatest-cluster-receive
+// probes are resolved once at store time, so the test above runs over
+// contiguous pools with O(1) component lookups (core/precedence_kernels.hpp).
+// ts_ remains the canonical store for timestamp(), digests, corruption
+// injection and rebuilds (which keep the mirror coherent); answers match the
+// FM oracle across all trace families (tests/perf_layer_test.cpp).
 //
 // Lock-free read publication: the arena mirror and every index a query
 // reads are bundled into one ArenaSnapshot behind an atomic pointer.
@@ -80,10 +78,6 @@ struct ClusterEngineConfig {
   /// Fixed encoding width of projections; 0 means max_cluster_size. Set
   /// explicitly for unbounded static partitions (k-means/k-medoid ablation).
   std::size_t encoded_cluster_width = 0;
-  /// Performance flag (A/B): mirror rows into a flat arena and answer
-  /// precedence through the word-parallel fast path. Trades one extra copy
-  /// of the stored components for contiguous reads; answers are identical.
-  bool use_arena = true;
 };
 
 struct ClusterEngineStats {
@@ -138,15 +132,16 @@ class ClusterTimestampEngine {
   /// Timestamp of a previously-observed event.
   const ClusterTimestamp& timestamp(EventId e) const;
 
-  /// Precedence: did `e` happen before `f`? Both must have been observed.
-  /// `ev_e`/`ev_f` are the event records (needed for the sync-partner rule).
+  /// Precedence: did `e` happen before `f`? Both must have been observed
+  /// (an unobserved `f` throws CheckFailure). `ev_e`/`ev_f` are the event
+  /// records (needed for the sync-partner rule). precedes_metered with an
+  /// unlimited budget, its ticks added to comparisons().
   bool precedes(const Event& ev_e, const Event& ev_f) const;
 
   /// Cost-instrumented precedence for the query broker: charges one tick per
   /// component comparison to `cost` and returns nullopt if the budget runs
   /// out mid-test. Unlike precedes(), touches no engine state, so concurrent
-  /// calls with distinct meters are safe on a quiescent engine. Tick
-  /// accounting is identical with and without the arena.
+  /// calls with distinct meters are safe on a quiescent engine.
   std::optional<bool> precedes_metered(const Event& ev_e, const Event& ev_f,
                                        QueryCost& cost) const;
 
@@ -165,8 +160,7 @@ class ClusterTimestampEngine {
   /// anchor's row, covered-set index, and — decisive for the x→anchor
   /// direction — the greatest cluster receive of every covered process
   /// ONCE; each test is then a handful of contiguous component reads.
-  /// Requires the arena flag; the cursor borrows the engine (no writes may
-  /// interleave with its use).
+  /// The cursor borrows the engine (no writes may interleave with its use).
   class PrecedenceCursor {
    public:
     /// anchor → x. `ev_x` must have been observed.
@@ -204,7 +198,7 @@ class ClusterTimestampEngine {
     std::vector<const EventIndex*> receive_rows_;
   };
 
-  /// Builds a cursor anchored at `anchor` (arena mode only).
+  /// Builds a cursor anchored at `anchor`.
   PrecedenceCursor cursor(const Event& anchor) const;
 
   // --- columnar export (src/store/) -------------------------------------
@@ -217,7 +211,7 @@ class ClusterTimestampEngine {
   static constexpr std::uint32_t kExportNoProbe = 0xffff'ffffu;
 
   /// Read-only visitor over the published arena snapshot. The columnar
-  /// snapshot store persists exactly what precedes_arena reads — the
+  /// snapshot store persists exactly what precedes_metered reads — the
   /// component pool, per-event row descriptors, resolved probe rows, and
   /// interned covered sets — so a mapped snapshot can answer precedence
   /// without replaying anything. Callbacks arrive in a fixed order: pool,
@@ -236,9 +230,6 @@ class ClusterTimestampEngine {
     virtual void probes(ProcessId p, const std::uint32_t* offsets,
                         std::size_t count) = 0;
   };
-
-  /// True when export_arena may be called (arena mode on).
-  bool can_export_arena() const { return config_.use_arena; }
 
   /// Visits the published snapshot. Single-writer phase only: no observe()
   /// or repair may run concurrently.
@@ -267,7 +258,7 @@ class ClusterTimestampEngine {
   /// Fault-injection hook (tests/benches model in-memory state corruption —
   /// a flipped bit in the timestamp store): overwrites component
   /// `slot % width` of e's stored timestamp, in the canonical store AND the
-  /// arena mirror (the queries must read the corrupted value either way).
+  /// arena mirror (the queries must read the corrupted value).
   /// Never used on a healthy path.
   void inject_corruption(EventId e, std::size_t slot, EventIndex value);
 
@@ -283,16 +274,9 @@ class ClusterTimestampEngine {
       ClusterId c, std::span<const EventId> log,
       const std::function<const Event&(EventId)>& event_of);
 
-  /// Arena mirror footprint in components (0 when the flag is off); the
-  /// space cost of the fast path, reported by the perf harness.
+  /// Arena mirror footprint in components; the space cost of the query
+  /// layout, reported by the perf harness.
   std::size_t arena_words() const;
-
-  /// True when queries read only the epoch-published arena snapshot, i.e.
-  /// concurrent readers are safe against inject_corruption/rebuild_cluster
-  /// without any caller-side lock (they pin util::EpochDomain::global()
-  /// instead). False for legacy (use_arena=false) engines, whose queries
-  /// read the canonical store that rebuilds mutate in place.
-  bool lock_free_reads() const { return config_.use_arena; }
 
   ~ClusterTimestampEngine();
   ClusterTimestampEngine(const ClusterTimestampEngine&) = delete;
@@ -319,6 +303,8 @@ class ClusterTimestampEngine {
     std::vector<std::int32_t> pos;
   };
 
+  /// Publishes the empty initial snapshot (constructors only).
+  void init_snapshot(std::size_t process_count);
   const ClusterTimestamp& store(const Event& e, ClusterTimestamp ts);
   /// Handles classification + merge decision for a receive-like event whose
   /// partner process is `q`. Returns true if the event is a (non-merged)
@@ -339,13 +325,12 @@ class ClusterTimestampEngine {
                               EventIndex bound) const;
 
   /// Re-resolves the stored probe rows of a projection row whose component
-  /// values were mutated (corruption injection / rebuild) — the legacy path
-  /// re-searches per query, so the precomputed probes must follow the
-  /// mutated bounds to stay answer-identical. Operates on the given
-  /// (writer-private) snapshot.
+  /// values were mutated (corruption injection / rebuild), so the probes
+  /// follow the mutated bounds exactly as a per-query search over ts_ would.
+  /// Operates on the given (writer-private) snapshot.
   void refresh_probes(ArenaSnapshot& snap, EventId id);
 
-  /// The currently published snapshot (null when use_arena is off).
+  /// The currently published snapshot.
   const ArenaSnapshot* snapshot() const {
     return snap_.load(std::memory_order_acquire);
   }
@@ -353,14 +338,6 @@ class ClusterTimestampEngine {
   /// Swaps `next` in as the published snapshot and retires the previous one
   /// to the global epoch domain. Caller holds snap_writer_mu_.
   void publish_snapshot(std::unique_ptr<ArenaSnapshot> next);
-
-  bool precedes_arena(const Event& ev_e, const Event& ev_f) const;
-  std::optional<bool> precedes_metered_arena(const Event& ev_e,
-                                             const Event& ev_f,
-                                             QueryCost& cost) const;
-  std::optional<bool> precedes_metered_legacy(const Event& ev_e,
-                                              const Event& ev_f,
-                                              QueryCost& cost) const;
 
   ClusterEngineConfig config_;
   FmEngine fm_;
@@ -373,8 +350,8 @@ class ClusterTimestampEngine {
   /// Sync halves whose pair decision was taken at the partner's observation.
   std::unordered_set<EventId> sync_decided_;
 
-  // --- arena acceleration (config_.use_arena) ---------------------------
-  /// Everything the fast-path queries read, bundled for atomic publication.
+  // --- query layout ---------------------------------------------------------
+  /// Everything the queries read, bundled for atomic publication.
   /// Ingestion appends in place (single-writer phase); serving-time repairs
   /// clone-mutate-swap (see the header comment). Deep-copyable by design:
   /// handles and pool offsets are layout-stable across clones.
@@ -389,15 +366,21 @@ class ClusterTimestampEngine {
     std::vector<std::vector<RowRef>> row_refs;
     /// Store-time-resolved probe rows: for each projection row, the pool
     /// offset of the greatest cluster receive per covered slot (kNoProbe
-    /// where none) — the query-time binary searches of the legacy path,
-    /// paid once at ingestion. A row's probes start at RowRef::probe_off
+    /// where none), resolved once at ingestion instead of searched per
+    /// query. A row's probes start at RowRef::probe_off
     /// and span the covered-set size (full rows own zero entries).
     std::vector<std::vector<std::uint32_t>> probe_pool;
     /// Interned covered sets (dense indices; see covered_ids_).
     std::vector<CoveredSet> covered_sets;
+
+    /// True when `e` has a row in this snapshot.
+    bool observed(EventId e) const {
+      return e.process < row_refs.size() && e.index >= 1 &&
+             e.index <= row_refs[e.process].size();
+    }
   };
 
-  /// Published snapshot (owned; null when use_arena is off). Readers load
+  /// Published snapshot (owned). Readers load
   /// it once per query under an epoch pin; writers swap under
   /// snap_writer_mu_ and retire the old snapshot to the epoch domain.
   std::atomic<ArenaSnapshot*> snap_{nullptr};

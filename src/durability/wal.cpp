@@ -165,6 +165,10 @@ WalScan scan_wal(const StorageBackend& storage, std::uint64_t from_seq,
   for (const auto& [seg_seq, name] : segments) {
     const std::string data = storage.read(name);
     ++scan.segments_scanned;
+    // open_segment creates (and dir-syncs) a segment before appending its
+    // header, so a crash in between leaves it empty. It holds no records and
+    // claims nothing; the next segment's header still chains from here.
+    if (data.empty()) continue;
 
     // ---- header ----
     if (data.size() < 5 || data.compare(0, 4, kSegmentMagic) != 0) {

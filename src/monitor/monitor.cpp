@@ -192,10 +192,6 @@ std::size_t MonitoringEntity::precedes_batch_metered(
   return cluster_->precedes_batch_metered(records, cost, out);
 }
 
-bool MonitoringEntity::lock_free_reads() const {
-  return fm_ != nullptr || cluster_->lock_free_reads();
-}
-
 std::vector<ClusterId> MonitoringEntity::cluster_ids() const {
   if (!cluster_) return {};
   return cluster_->clusters().clusters();
@@ -275,13 +271,13 @@ std::optional<ClusterEngineStats> MonitoringEntity::cluster_stats() const {
 }
 
 bool MonitoringEntity::can_export_arena() const {
-  return cluster_ != nullptr && cluster_->can_export_arena();
+  return cluster_ != nullptr;
 }
 
 void MonitoringEntity::export_arena(
     ClusterTimestampEngine::ArenaExportSink& sink) const {
   CT_CHECK_MSG(can_export_arena(),
-               "columnar export requires the cluster backend in arena mode");
+               "columnar export requires the cluster backend");
   cluster_->export_arena(sink);
 }
 

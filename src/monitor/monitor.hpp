@@ -146,14 +146,6 @@ class MonitoringEntity {
       std::span<const std::pair<EventId, EventId>> pairs, QueryCost& cost,
       std::optional<bool>* out) const;
 
-  /// True when concurrent precedence reads are safe against audit repairs
-  /// (rebuild_cluster / inject_timestamp_corruption) without caller-side
-  /// locking: FM clocks are immutable once delivered, and an arena-mode
-  /// cluster engine serves from an epoch-published snapshot (readers pin
-  /// util::EpochDomain::global(); see core/engine.hpp). Legacy
-  /// use_arena=false engines still require reader exclusion.
-  bool lock_free_reads() const;
-
   /// Timestamp storage in 32-bit words under §4's encoding conventions.
   std::uint64_t timestamp_words() const;
 
@@ -178,7 +170,10 @@ class MonitoringEntity {
 
   /// Recomputes the stored timestamp values of cluster `c`'s processes by
   /// replaying the delivery log (self-repair after detected corruption).
-  /// Returns vector elements rewritten (the repair's work ticks).
+  /// Returns vector elements rewritten (the repair's work ticks). Safe
+  /// against concurrent precedence readers that pin
+  /// util::EpochDomain::global(): the engine publishes the repaired
+  /// snapshot with one atomic swap (core/engine.hpp).
   std::uint64_t rebuild_cluster(ClusterId c);
 
   /// Fault-injection hook for tests/benches: overwrites one stored
@@ -219,7 +214,8 @@ class MonitoringEntity {
   // --- columnar snapshot hooks (src/store/) ----------------------------
 
   /// True when the active backend can export its arena for the CTC1
-  /// columnar snapshot store (cluster backend in arena mode).
+  /// columnar snapshot store (the cluster backend; precomputed-FM monitors
+  /// have no arena).
   bool can_export_arena() const;
 
   /// Visits the cluster engine's published arena snapshot (see

@@ -56,24 +56,19 @@ QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
     : monitor_(monitor),
       pool_(pool),
       options_(std::move(options)),
-      trace_(monitor.delivered_trace()),
-      lock_free_reads_(monitor.lock_free_reads()) {
+      trace_(monitor.delivered_trace()) {
   CT_CHECK_MSG(!options_.chain.empty(), "broker chain must not be empty");
 
   BackendContext ctx;
   ctx.trace = &trace_;
   ctx.differential_interval = options_.differential_interval;
   ctx.ondemand_cache_capacity = options_.ondemand_cache_capacity;
-  // The kCluster link serves from the monitor under this broker's locking
-  // discipline: readers pin the epoch domain (default) or hold cluster_mu_
-  // shared (legacy engines), exactly as the pre-registry chain did.
+  // The kCluster link serves from the monitor under an epoch pin: audit
+  // repairs publish fresh engine snapshots and retire the old ones to the
+  // epoch domain, so a reader never blocks on a rebuild.
   ctx.monitor_precedes = [this](EventId e, EventId f,
                                 QueryCost& cost) -> std::optional<bool> {
-    if (lock_free_reads_) {
-      const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
-      return monitor_.precedes_metered(e, f, cost);
-    }
-    std::shared_lock reader(cluster_mu_);
+    const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
     return monitor_.precedes_metered(e, f, cost);
   };
 
@@ -333,16 +328,9 @@ QueryResult QueryBroker::execute(const Job& job) {
         std::size_t done = 0;
         bool bulk_failed = false;
         {
-          // Default path: pin the epoch once for the whole batch (zero
-          // locks); legacy engines still take the reader lock.
-          util::EpochDomain::Guard pin;
-          std::shared_lock<std::shared_mutex> reader(cluster_mu_,
-                                                     std::defer_lock);
-          if (lock_free_reads_) {
-            pin = util::EpochDomain::global().pin();
-          } else {
-            reader.lock();
-          }
+          // Pin the epoch once for the whole batch (zero locks).
+          const util::EpochDomain::Guard pin =
+              util::EpochDomain::global().pin();
           try {
             done = monitor_.precedes_batch_metered(job.pairs, cost,
                                                    result.batch.data());
@@ -474,7 +462,7 @@ void QueryBroker::note_failure(std::size_t slot) {
 bool QueryBroker::audit_step() {
   std::lock_guard audit_lock(audit_mu_);
   // Detection reads cluster state; repairs are excluded by audit_mu_ and
-  // query readers only ever read, so no cluster_mu_ is needed here.
+  // query readers only ever read, so no further lock is needed here.
   const AuditFinding finding = auditor_->step();
   {
     std::lock_guard lock(mu_);
@@ -508,17 +496,10 @@ bool QueryBroker::audit_step() {
   // Answers cached before the trip may be poisoned; drop them all.
   if (answer_cache_) answer_cache_->clear();
   for (const ClusterId c : finding.corrupted) {
-    std::uint64_t ticks = 0;
-    {
-      // Default path: the engine rebuilds a writer-private snapshot and
-      // publishes it with one atomic swap — in-flight readers keep the
-      // pre-repair snapshot and are never blocked. Legacy engines rewrite
-      // the store in place and still need reader exclusion.
-      std::unique_lock<std::shared_mutex> writer(cluster_mu_,
-                                                 std::defer_lock);
-      if (!lock_free_reads_) writer.lock();
-      ticks = monitor_.rebuild_cluster(c);
-    }
+    // The engine rebuilds a writer-private snapshot and publishes it with
+    // one atomic swap: in-flight readers keep the pre-repair snapshot and
+    // are never blocked.
+    const std::uint64_t ticks = monitor_.rebuild_cluster(c);
     auditor_->rebaseline(c);
     std::lock_guard lock(mu_);
     ++health_.rebuilds;

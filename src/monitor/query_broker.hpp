@@ -24,7 +24,10 @@
 //    queries: sampled cross-checks and per-cluster digests detect state
 //    corruption, trip the cluster breaker, trigger an incremental rebuild
 //    from the delivery log, and re-admit the backend only after a
-//    configurable number of clean audit steps.
+//    configurable number of clean audit steps. Repairs never block reads:
+//    every query pins util::EpochDomain::global() and reads the engine's
+//    published snapshot, which a repair replaces with one atomic swap
+//    (core/engine.hpp).
 //
 // Serving epoch: the broker freezes the monitor's delivered state at
 // construction (it reconstructs the delivered trace for its fallback
@@ -40,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -270,9 +272,8 @@ class QueryBroker {
 
   Trace trace_;  ///< delivered prefix, frozen at construction
   /// The fallback links, built from options_.chain via the BackendRegistry.
-  /// The kCluster link reaches the monitor through a hook that carries this
-  /// broker's locking discipline (epoch pin / cluster_mu_); the rest own
-  /// their state over trace_.
+  /// The kCluster link reaches the monitor through a hook that pins the
+  /// epoch domain; the rest own their state over trace_.
   std::vector<std::unique_ptr<CausalityBackend>> chain_;
   /// Chain position of kCluster, when present (audit readmission and the
   /// batch bulk fast path are cluster-specific).
@@ -281,16 +282,6 @@ class QueryBroker {
       answer_cache_;
   std::unique_ptr<IntegrityAuditor> auditor_;
 
-  /// True when the monitor's cluster reads are safe against audit repairs
-  /// without locking (epoch-published engine snapshots / immutable FM
-  /// clocks — see MonitoringEntity::lock_free_reads). On this DEFAULT path
-  /// readers pin util::EpochDomain::global() instead of cluster_mu_, so a
-  /// rebuild storm never blocks a query and queries never delay repairs.
-  const bool lock_free_reads_;
-  /// Legacy fallback (use_arena=false engines only): readers of the
-  /// monitor's (repairable) cluster state hold it shared; audit-triggered
-  /// rebuilds hold it exclusively. Never taken when lock_free_reads_.
-  std::shared_mutex cluster_mu_;
   /// Serializes audit steps (the auditor is single-threaded).
   mutable std::mutex audit_mu_;
 

@@ -47,7 +47,6 @@ std::unique_ptr<ClusterTimestampEngine> build_engine(const Trace& t,
   ClusterEngineConfig ec;
   ec.max_cluster_size = cfg.max_cluster_size;
   ec.fm_vector_width = std::max<std::size_t>(1, t.process_count());
-  ec.use_arena = cfg.use_arena;
 
   std::unique_ptr<ClusterTimestampEngine> engine;
   switch (cfg.strategy) {
@@ -88,12 +87,12 @@ class BackendInstance {
         recursive_ = cfg.backend == SimBackend::kRecursive;
         break;
       case SimBackend::kTreeClock:
-        tree_ = std::make_unique<TreeClockStore>(t, cfg.use_arena);
+        tree_ = std::make_unique<TreeClockStore>(t);
         break;
       case SimBackend::kCompact: {
         engine_ = build_engine(t, cfg);
         CompactTimestampStore::Options so;
-        so.delta = cfg.use_arena;  // layout flag maps to the delta codec
+        so.delta = cfg.delta;
         so.checkpoint_every = 8;
         store_ = std::make_unique<CompactTimestampStore>(t.process_count(), so);
         for (ProcessId p = 0; p < t.process_count(); ++p) {
@@ -110,7 +109,6 @@ class BackendInstance {
         hc.batch_size = std::max<std::size_t>(1, t.event_count() / 2);
         hc.engine.max_cluster_size = cfg.max_cluster_size;
         hc.engine.fm_vector_width = std::max<std::size_t>(1, t.process_count());
-        hc.engine.use_arena = cfg.use_arena;
         switch (cfg.strategy) {
           case SimStrategy::kMergeFirst:
             hc.nth_threshold = 0.0;  // degenerates to merge-on-1st
@@ -192,8 +190,11 @@ const char* to_string(SimStrategy s) {
 }
 
 std::string OracleConfig::label() const {
-  return std::string(to_string(backend)) + "/" + to_string(strategy) + "/cs" +
-         std::to_string(max_cluster_size) + (use_arena ? "/arena" : "/plain");
+  std::string label = std::string(to_string(backend)) + "/" +
+                      to_string(strategy) + "/cs" +
+                      std::to_string(max_cluster_size);
+  if (backend == SimBackend::kCompact) label += delta ? "/delta" : "/absolute";
+  return label;
 }
 
 std::vector<OracleConfig> full_matrix() {
@@ -208,9 +209,10 @@ std::vector<OracleConfig> full_matrix() {
   for (const SimBackend b : backends) {
     for (const SimStrategy s : strategies) {
       for (const std::uint32_t cs : sizes) {
-        for (const bool arena : {false, true}) {
-          out.push_back(OracleConfig{b, s, cs, arena});
+        if (b == SimBackend::kCompact) {
+          out.push_back(OracleConfig{b, s, cs, /*delta=*/false});
         }
+        out.push_back(OracleConfig{b, s, cs});
       }
     }
   }
@@ -218,40 +220,25 @@ std::vector<OracleConfig> full_matrix() {
   for (const SimStrategy s :
        {SimStrategy::kMergeFirst, SimStrategy::kMergeNth}) {
     for (const std::uint32_t cs : sizes) {
-      for (const bool arena : {false, true}) {
-        out.push_back(OracleConfig{SimBackend::kBroker, s, cs, arena});
-      }
+      out.push_back(OracleConfig{SimBackend::kBroker, s, cs});
     }
   }
-  // Tree-clock rows: cluster-free (strategy and maxCS do not apply), one
-  // per storage layout.
-  for (const bool arena : {false, true}) {
-    out.push_back(
-        OracleConfig{SimBackend::kTreeClock, SimStrategy::kMergeFirst, 16,
-                     arena});
-  }
+  // Tree-clock row: cluster-free (strategy and maxCS do not apply).
+  out.push_back(
+      OracleConfig{SimBackend::kTreeClock, SimStrategy::kMergeFirst, 16});
   return out;
 }
 
 std::vector<OracleConfig> backend_matrix() {
-  std::vector<OracleConfig> out;
-  for (const bool arena : {false, true}) {
-    out.push_back(
-        OracleConfig{SimBackend::kTreeClock, SimStrategy::kMergeFirst, 16,
-                     arena});
-  }
-  // One engine reference row plus broker rows; broker probes with the
-  // kProbeTreeChain flag run the extended chain through the registry.
-  out.push_back(
-      OracleConfig{SimBackend::kEngine, SimStrategy::kMergeFirst, 16, true});
-  for (const bool arena : {false, true}) {
-    out.push_back(
-        OracleConfig{SimBackend::kBroker, SimStrategy::kMergeFirst, 16,
-                     arena});
-  }
-  out.push_back(
-      OracleConfig{SimBackend::kBroker, SimStrategy::kMergeNth, 8, true});
-  return out;
+  // The tree-clock row, one engine reference row, and broker rows; broker
+  // probes with the kProbeTreeChain flag run the extended chain through the
+  // registry.
+  return {
+      OracleConfig{SimBackend::kTreeClock, SimStrategy::kMergeFirst, 16},
+      OracleConfig{SimBackend::kEngine, SimStrategy::kMergeFirst, 16},
+      OracleConfig{SimBackend::kBroker, SimStrategy::kMergeFirst, 16},
+      OracleConfig{SimBackend::kBroker, SimStrategy::kMergeNth, 8},
+  };
 }
 
 SimReport run_schedule(const SimSchedule& schedule,
@@ -264,7 +251,6 @@ SimReport run_schedule(const SimSchedule& schedule,
   mo.backend = TimestampBackend::kClusterDynamic;
   mo.cluster.max_cluster_size = schedule.max_cluster_size;
   mo.cluster.fm_vector_width = schedule.process_count;
-  mo.cluster.use_arena = schedule.use_arena;
   mo.nth_threshold = schedule.nth_threshold;
   auto monitor =
       std::make_unique<MonitoringEntity>(schedule.process_count, mo);
@@ -345,7 +331,6 @@ SimReport run_schedule(const SimSchedule& schedule,
         bmo.backend = TimestampBackend::kClusterDynamic;
         bmo.cluster.max_cluster_size = cfg.max_cluster_size;
         bmo.cluster.fm_vector_width = std::max<std::size_t>(1, process_count);
-        bmo.cluster.use_arena = cfg.use_arena;
         bmo.nth_threshold =
             cfg.strategy == SimStrategy::kMergeFirst ? -1.0 : kNthThreshold;
         MonitoringEntity fresh(process_count, bmo);

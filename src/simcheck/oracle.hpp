@@ -8,7 +8,8 @@
 // backend configurations — ClusterTimestampEngine, CompactTimestampStore
 // decode + recursive test, the recursive test over engine rows, the
 // batch-then-cluster hybrid, and the QueryBroker fallback chain, each
-// crossed with clustering strategy × maxCS × arena/delta layout — and
+// crossed with clustering strategy × maxCS (× delta/absolute codec for the
+// compact store) — and
 // asserts bit-identical precedence answers and frontier sets against an
 // on-demand Fidge/Mattern ground truth, plus the MonitorHealth /
 // BrokerHealth accounting invariants.
@@ -54,24 +55,23 @@ struct OracleConfig {
   SimBackend backend = SimBackend::kEngine;
   SimStrategy strategy = SimStrategy::kMergeFirst;
   std::uint32_t max_cluster_size = 8;
-  /// kEngine/kRecursive/kBatchHybrid/kBroker: ClusterEngineConfig::use_arena.
-  /// kCompact: the delta/cold-codec record grammar instead of absolute.
-  /// kTreeClock: TsArena row pool vs legacy per-event vectors.
-  bool use_arena = true;
+  /// kCompact only: the delta/cold-codec record grammar instead of
+  /// absolute. Ignored by the other backends.
+  bool delta = true;
 
   std::string label() const;
   friend bool operator==(const OracleConfig&, const OracleConfig&) = default;
 };
 
 /// The full verification matrix: every cluster backend × strategy × maxCS ∈
-/// {4, 16, 64} × layout flag, plus the cluster-free tree-clock rows (one per
-/// storage layout — strategy and maxCS do not apply). The broker rows are
+/// {4, 16, 64} (the compact rows at both codecs), plus one cluster-free
+/// tree-clock row (strategy and maxCS do not apply). The broker rows are
 /// restricted to the dynamic strategies (its monitor self-organizes; preset
 /// partitions are covered by the direct engine rows).
 std::vector<OracleConfig> full_matrix();
 
 /// The backend-axis slice (`simcheck_driver --matrix=backend`): the
-/// tree-clock rows, a cluster-engine reference row, and broker rows whose
+/// tree-clock row, a cluster-engine reference row, and broker rows whose
 /// probes exercise the extended registry chain. Small enough that a
 /// many-schedule sweep hits the new backend in every rotation window.
 std::vector<OracleConfig> backend_matrix();

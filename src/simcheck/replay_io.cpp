@@ -24,8 +24,7 @@ void save_replay(std::ostream& out, const SimSchedule& schedule) {
   out << "processes " << schedule.process_count << '\n';
   out << "engine maxcs=" << schedule.max_cluster_size << " nth="
       << std::setprecision(std::numeric_limits<double>::max_digits10)
-      << schedule.nth_threshold << " arena=" << (schedule.use_arena ? 1 : 0)
-      << '\n';
+      << schedule.nth_threshold << '\n';
   for (const SimOp& op : schedule.ops) {
     switch (op.kind) {
       case SimOp::Kind::kEmit:
@@ -87,9 +86,11 @@ SimSchedule load_replay(std::istream& in) {
         } else if (key == "nth") {
           vs >> s.nth_threshold;
         } else if (key == "arena") {
+          // Retired engine-layout token (arena=0|1) of older replays: still
+          // parsed so they load unedited, then ignored — the engine has one
+          // layout.
           int flag = 0;
           vs >> flag;
-          s.use_arena = flag != 0;
         } else {
           CT_CHECK_MSG(false, "unknown engine field: " << key);
         }

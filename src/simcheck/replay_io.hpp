@@ -11,7 +11,7 @@
 //   name <token>
 //   seed <u64>
 //   processes <u32>
-//   engine maxcs=<u32> nth=<double> arena=<0|1>
+//   engine maxcs=<u32> nth=<double>   (a retired arena=<0|1> is ignored)
 //   e <proc> <idx> <kind> <partner-proc> <partner-idx>   (one emit)
 //   k                                                    (checkpoint/restore)
 //   b <a>                                                (rebuild)

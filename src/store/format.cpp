@@ -34,6 +34,7 @@ void put_u32_le(std::string& out, std::uint32_t v) {
 void put_u32(std::string& out, std::uint32_t v) { put_u32_le(out, v); }
 
 void put_u32s(std::string& out, const std::uint32_t* v, std::size_t n) {
+  if (n == 0) return;  // `v` may then be null, which memcpy must not see
   const std::size_t at = out.size();
   out.resize(at + n * 4);
   std::memcpy(out.data() + at, v, n * 4);

@@ -27,7 +27,7 @@
 // CRCs localize corruption to a byte range (the tagged errors the recovery
 // ladder reports); the per-column FNV digest is the whole-column second
 // opinion. The arena columns mirror exactly what the engine's
-// precedes_arena reads, so a mapped snapshot answers precedence with zero
+// precedes_metered reads, so a mapped snapshot answers precedence with zero
 // replay — cold start is O(map), not O(WAL).
 #pragma once
 
@@ -96,7 +96,7 @@ struct ColumnInfo {
 struct ColumnarManifest {
   std::uint8_t version = kColumnarVersion;
   /// False for monitors whose backend cannot export an arena (precomputed
-  /// FM, or use_arena off): the file carries only the event columns and
+  /// FM): the file carries only the event columns and
   /// serves the replay rungs, not the mapped read path.
   bool has_arena = false;
   std::uint64_t generation = 0;
@@ -122,7 +122,7 @@ std::uint64_t fnv1a64(std::string_view data,
                       std::uint64_t seed = 14695981039346656037ull);
 
 /// Serializes the monitor's delivered state as one CTC1 image. Exports the
-/// arena columns when the monitor can (cluster backend in arena mode);
+/// arena columns when the monitor can (cluster backend);
 /// single-writer phase. `block_bytes` is the CRC block grid (smaller blocks
 /// localize corruption more precisely at more footer bytes).
 std::string encode_columnar(const MonitoringEntity& monitor,

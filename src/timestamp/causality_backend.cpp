@@ -99,7 +99,7 @@ class OnDemandBackend final : public CausalityBackend {
 class TreeClockBackend final : public CausalityBackend {
  public:
   explicit TreeClockBackend(const BackendContext& ctx)
-      : store_(*ctx.trace, /*use_arena=*/true) {}
+      : store_(*ctx.trace) {}
   ServingBackend id() const override { return ServingBackend::kTreeClock; }
   const char* name() const override { return "tree-clock"; }
   BackendCapabilities capabilities() const override {

@@ -5,29 +5,16 @@
 
 namespace ct {
 
-FmStore::FmStore(const Trace& trace) : FmStore(trace, true) {}
-
-FmStore::FmStore(const Trace& trace, bool use_arena) : trace_(trace) {
+FmStore::FmStore(const Trace& trace)
+    : trace_(trace),
+      arena_(trace.process_count(), TsArena::Options{.intern = true}) {
+  // The totals are known from the trace metadata: size the pool once.
   const std::size_t events = trace.delivery_order().size();
-  if (use_arena) {
-    arena_ = std::make_unique<TsArena>(trace.process_count(),
-                                       TsArena::Options{.intern = true});
-    // The totals are known from the trace metadata: size the pool once.
-    arena_->reserve(events, events * trace.process_count());
-  } else {
-    clocks_.resize(trace.process_count());
-    for (ProcessId p = 0; p < trace.process_count(); ++p) {
-      clocks_[p].resize(trace.process_size(p));
-    }
-  }
+  arena_.reserve(events, events * trace.process_count());
   FmEngine engine(trace.process_count());
   for (const EventId id : trace.delivery_order()) {
     const FmClock& fm = engine.observe(trace.event(id));
-    if (arena_) {
-      arena_->append(id.process, fm.data(), fm.size());
-    } else {
-      clocks_[id.process][id.index - 1] = fm;
-    }
+    arena_.append(id.process, fm.data(), fm.size());
   }
 }
 
@@ -35,27 +22,19 @@ FmClock FmStore::clock(EventId e) const {
   CT_CHECK_MSG(e.process < trace_.process_count() && e.index >= 1 &&
                    e.index <= trace_.process_size(e.process),
                "unknown event " << e);
-  if (arena_) {
-    const auto row = arena_->values(arena_->handle_of(e.process, e.index - 1));
-    return FmClock(row.begin(), row.end());
-  }
-  return clocks_[e.process][e.index - 1];
+  const auto row = arena_.values(arena_.handle_of(e.process, e.index - 1));
+  return FmClock(row.begin(), row.end());
 }
 
 bool FmStore::precedes(EventId e, EventId f) const {
   const Event& ev_e = trace_.event(e);
-  const Event& ev_f = trace_.event(f);
-  if (!arena_) {
-    return fm_precedes(ev_e, clocks_[e.process][e.index - 1], ev_f,
-                       clocks_[f.process][f.index - 1]);
-  }
+  static_cast<void>(trace_.event(f));  // rejects an unknown f before the pool
   // Same test as fm_precedes, reading the single decisive component from
   // the pool (FM(e)[p_e] is e's own index — no e-side row load needed).
   if (e == f) return false;
   if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
   return e.index <=
-         arena_->component(arena_->handle_of(f.process, f.index - 1),
-                           e.process);
+         arena_.component(arena_.handle_of(f.process, f.index - 1), e.process);
 }
 
 std::size_t FmStore::stored_elements() const {
@@ -66,8 +45,6 @@ std::size_t FmStore::stored_elements() const {
   return n;
 }
 
-std::size_t FmStore::resident_elements() const {
-  return arena_ ? arena_->pool_words() : stored_elements();
-}
+std::size_t FmStore::resident_elements() const { return arena_.pool_words(); }
 
 }  // namespace ct

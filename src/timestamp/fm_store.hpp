@@ -5,17 +5,13 @@
 // timestamps must agree with it on every precedence query) and for the
 // space/time comparisons of the motivation section.
 //
-// Storage layout is selected at construction (A/B flag, docs/PERF.md):
-//  * arena (default) — all vectors live in one flat TsArena pool with
-//    content interning: the two halves of a synchronous pair carry
-//    identical vectors and dedup to one pooled row, and precedence reads a
-//    single pooled component instead of chasing a per-event heap vector;
-//  * legacy — one heap-allocated FmClock per event (the seed layout).
-// Answers are identical either way; tests/perf_layer_test.cpp asserts it.
+// Layout (docs/PERF.md): all vectors live in one flat TsArena pool with
+// content interning: the two halves of a synchronous pair carry identical
+// vectors and dedup to one pooled row, and precedence reads a single pooled
+// component instead of chasing a per-event heap vector.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "model/trace.hpp"
@@ -26,11 +22,8 @@ namespace ct {
 
 class FmStore {
  public:
-  /// Computes and stores FM(e) for every event of the trace (arena layout).
+  /// Computes and stores FM(e) for every event of the trace.
   explicit FmStore(const Trace& trace);
-  /// A/B constructor: `use_arena = false` keeps the per-event-vector seed
-  /// layout.
-  FmStore(const Trace& trace, bool use_arena);
 
   const Trace& trace() const { return trace_; }
 
@@ -50,13 +43,12 @@ class FmStore {
   std::size_t stored_elements() const;
 
   /// Elements physically resident after interning (sync halves share pool
-  /// rows); equals stored_elements() in the legacy layout.
+  /// rows).
   std::size_t resident_elements() const;
 
  private:
   const Trace& trace_;
-  std::vector<std::vector<FmClock>> clocks_;  // [process][index-1] (legacy)
-  std::unique_ptr<TsArena> arena_;
+  TsArena arena_;
 };
 
 }  // namespace ct

@@ -10,16 +10,14 @@
 // ingestion cost: a receive's join touches only the entries the sender is
 // ahead on (see JoinStats), not all N components.
 //
-// Storage layout mirrors FmStore's A/B flag (docs/PERF.md): arena (default)
-// pools flattened rows in one interned TsArena — sync halves carry equal
-// vectors and dedup to one row — while the legacy layout keeps one heap
-// vector per event. Both paths answer identically; tests assert it.
+// Storage layout matches FmStore's (docs/PERF.md): flattened rows are pooled
+// in one interned TsArena — sync halves carry equal vectors and dedup to one
+// row.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -47,8 +45,7 @@ class TreeClockStore {
   using EventHook = std::function<void(const Event&, const TreeClock&)>;
 
   explicit TreeClockStore(const Trace& trace);
-  TreeClockStore(const Trace& trace, bool use_arena);
-  TreeClockStore(const Trace& trace, bool use_arena, const EventHook& hook);
+  TreeClockStore(const Trace& trace, const EventHook& hook);
 
   const Trace& trace() const { return trace_; }
 
@@ -82,18 +79,16 @@ class TreeClockStore {
   const Costs& costs() const { return costs_; }
 
   /// Order-sensitive FNV-1a digest over every stored row plus the final
-  /// tree shapes (tid, clk, aclk, parent per process). Layout-independent:
-  /// arena and legacy stores of one trace digest identically — the
-  /// seed-stability goldens pin it.
+  /// tree shapes (tid, clk, aclk, parent per process). Covers logical rows,
+  /// not the pool layout — the seed-stability goldens pin it.
   std::uint64_t state_digest() const;
 
  private:
   std::span<const EventIndex> row(EventId e) const;
 
   const Trace& trace_;
-  std::vector<TreeClock> cur_;                 ///< final per-process clocks
-  std::vector<std::vector<FmClock>> rows_;     ///< legacy: [process][index-1]
-  std::unique_ptr<TsArena> arena_;
+  std::vector<TreeClock> cur_;  ///< final per-process clocks
+  TsArena arena_;
   Costs costs_;
 };
 

@@ -19,6 +19,7 @@
 #include "core/static_pipeline.hpp"
 #include "model/oracle.hpp"
 #include "model/trace_builder.hpp"
+#include "timestamp/query_cost.hpp"
 #include "trace/generators.hpp"
 #include "util/check.hpp"
 
@@ -306,6 +307,28 @@ TEST(Engine, RejectsQueriesAboutUnobservedEvents) {
   ClusterEngineConfig config{.max_cluster_size = 2, .fm_vector_width = 300};
   ClusterTimestampEngine engine(2, config, make_merge_on_first());
   EXPECT_THROW(engine.timestamp(EventId{0, 1}), CheckFailure);
+}
+
+// precedes() must bounds-check f in every build type, exactly like the
+// metered path: an unobserved f throws instead of reading past the store.
+TEST(Engine, PrecedesRejectsUnobservedTarget) {
+  TraceBuilder b;
+  b.add_processes(2);
+  b.unary(0);
+  b.unary(1);
+  const Trace t = b.build("unobserved", TraceFamily::kControl);
+  ClusterEngineConfig config{.max_cluster_size = 2, .fm_vector_width = 300};
+  ClusterTimestampEngine engine(2, config, make_merge_on_first());
+  engine.observe_trace(t);
+
+  const Event& e = t.event(EventId{0, 1});
+  for (const EventId ghost : {EventId{1, 2}, EventId{1, 4096}, EventId{5, 1}}) {
+    const Event f{.id = ghost};
+    EXPECT_THROW((void)engine.precedes(e, f), CheckFailure) << ghost;
+    QueryCost cost;
+    EXPECT_THROW((void)engine.precedes_metered(e, f, cost), CheckFailure)
+        << ghost;
+  }
 }
 
 TEST(Engine, ObserveTraceRejectsProcessMismatch) {

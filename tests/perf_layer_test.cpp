@@ -4,9 +4,11 @@
 // the arena fast path, store-time probe resolution, the precedence cursor,
 // the heap-accelerated greedy clustering, the word-parallel kernels, the
 // delta codecs — must be observationally identical to the code it replaces.
-// These tests pin that down: fast vs slow implementations are run side by
-// side on the same inputs and compared answer-for-answer (and, where cost
-// metering is part of the observable surface, tick-for-tick).
+// These tests pin that down: each fast implementation runs side by side
+// with a reference on the same inputs (FmStore and a test-local per-query
+// walk for the engine, scalar loops for the kernels, the O(N^3) greedy for
+// clustering) and is compared answer-for-answer (and, where cost metering
+// is part of the observable surface, tick-for-tick).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "core/engine.hpp"
 #include "core/precedence_kernels.hpp"
 #include "model/trace_builder.hpp"
+#include "timestamp/fm_store.hpp"
 #include "timestamp/query_cost.hpp"
 #include "timestamp/ts_arena.hpp"
 #include "trace/generators.hpp"
@@ -78,37 +81,101 @@ Trace family_trace(int which) {
   }
 }
 
-ClusterEngineConfig engine_config(std::size_t max_cs, bool use_arena) {
+ClusterEngineConfig engine_config(std::size_t max_cs) {
   ClusterEngineConfig config;
   config.max_cluster_size = max_cs;
   config.fm_vector_width = 300;
-  config.use_arena = use_arena;
   return config;
 }
 
-/// All-pairs: plain answers equal, metered answers equal, metered TICKS
-/// equal. The tick identity is the strongest form of "same algorithm": the
-/// arena path must charge exactly what the legacy path would have.
-void expect_engines_identical(const Trace& trace,
-                              const ClusterTimestampEngine& arena,
-                              const ClusterTimestampEngine& legacy,
-                              const std::string& label) {
+/// The seed's per-query precedence walk, rebuilt from public timestamp()
+/// data only: the direct test on f's covered set, then one probe through
+/// the greatest cluster receive at or below each covered bound, found by a
+/// binary search at query time. It reads the canonical store, so corrupted
+/// values are seen exactly as stored. Answers and ticks are what the engine
+/// must reproduce from its store-time-resolved probes.
+class LegacyWalk {
+ public:
+  struct Result {
+    bool answer = false;
+    std::uint64_t ticks = 0;
+  };
+
+  LegacyWalk(const Trace& trace, const ClusterTimestampEngine& engine)
+      : trace_(trace), engine_(engine), receives_(trace.process_count()) {
+    // Cluster-receive flags are structure, never values: corruption and
+    // rebuilds leave them alone, so the per-process lists are built once.
+    for (ProcessId q = 0; q < trace.process_count(); ++q) {
+      for (EventIndex i = 1; i <= trace.process_size(q); ++i) {
+        if (engine.timestamp(EventId{q, i}).cluster_receive) {
+          receives_[q].push_back(i);
+        }
+      }
+    }
+  }
+
+  Result operator()(EventId e, EventId f) const {
+    const Event& ev_e = trace_.event(e);
+    if (e == f) return {};
+    if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return {};
+    const ClusterTimestamp& tf = engine_.timestamp(f);
+    Result r{.answer = false, .ticks = 1};
+    if (const auto comp = tf.component(e.process)) {
+      r.answer = e.index <= *comp;
+      return r;
+    }
+    const auto& covered = *tf.covered;
+    for (std::size_t i = 0; i < covered.size(); ++i) {
+      const auto& receives = receives_[covered[i]];
+      const auto it =
+          std::upper_bound(receives.begin(), receives.end(), tf.values[i]);
+      if (it == receives.begin()) continue;  // no cluster receive seen yet
+      const ClusterTimestamp& tr =
+          engine_.timestamp(EventId{covered[i], *(it - 1)});
+      ++r.ticks;
+      if (e.index <= tr.values[e.process]) {
+        r.answer = true;
+        return r;
+      }
+    }
+    return r;
+  }
+
+ private:
+  const Trace& trace_;
+  const ClusterTimestampEngine& engine_;
+  std::vector<std::vector<EventIndex>> receives_;  // ascending, per process
+};
+
+/// All pairs: precedes() and metered answers equal `want` (FmStore, or the
+/// walk itself over a corrupted store), and metered ticks — plus the
+/// comparisons() bump of precedes() — equal the walk's. The tick identity is
+/// the strongest form of "same algorithm".
+void expect_engine_matches(const Trace& trace,
+                           const ClusterTimestampEngine& engine,
+                           const FmStore* want_store,
+                           const std::string& label) {
+  const LegacyWalk walk(trace, engine);
   for (const EventId e : trace.delivery_order()) {
     for (const EventId f : trace.delivery_order()) {
       const Event& ev_e = trace.event(e);
       const Event& ev_f = trace.event(f);
-      const bool got = arena.precedes(ev_e, ev_f);
-      const bool want = legacy.precedes(ev_e, ev_f);
-      ASSERT_EQ(got, want)
-          << label << ": precedes mismatch e=" << e << " f=" << f;
+      const LegacyWalk::Result ref = walk(e, f);
+      const bool want =
+          want_store != nullptr ? want_store->precedes(e, f) : ref.answer;
 
-      QueryCost ca, cl;
-      const auto ma = arena.precedes_metered(ev_e, ev_f, ca);
-      const auto ml = legacy.precedes_metered(ev_e, ev_f, cl);
-      ASSERT_EQ(ma.has_value(), ml.has_value()) << label << " e=" << e;
-      ASSERT_EQ(*ma, *ml) << label << ": metered mismatch e=" << e
-                          << " f=" << f;
-      ASSERT_EQ(ca.ticks, cl.ticks)
+      const std::uint64_t before = engine.comparisons();
+      ASSERT_EQ(engine.precedes(ev_e, ev_f), want)
+          << label << ": precedes mismatch e=" << e << " f=" << f;
+      ASSERT_EQ(engine.comparisons() - before, ref.ticks)
+          << label << ": comparisons mismatch e=" << e << " f=" << f;
+
+      QueryCost cost;
+      const auto metered = engine.precedes_metered(ev_e, ev_f, cost);
+      ASSERT_TRUE(metered.has_value()) << label << " e=" << e;
+      ASSERT_EQ(*metered, want)
+          << label << ": metered mismatch e=" << e << " f=" << f;
+      ASSERT_EQ(cost.ticks, ref.ticks)
           << label << ": tick mismatch e=" << e << " f=" << f;
     }
   }
@@ -118,47 +185,38 @@ class ArenaEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ArenaEquivalence, AnswersAndTicksMatchLegacyAllPairs) {
   const Trace trace = family_trace(GetParam());
-  const std::size_t n = trace.process_count();
+  const FmStore fm(trace);
 
   for (const std::size_t max_cs :
        {std::size_t{2}, std::size_t{5}, std::size_t{13}}) {
-    ClusterTimestampEngine arena(n, engine_config(max_cs, true),
-                                 make_merge_on_nth(2.0));
-    ClusterTimestampEngine legacy(n, engine_config(max_cs, false),
+    ClusterTimestampEngine engine(trace.process_count(),
+                                  engine_config(max_cs),
                                   make_merge_on_nth(2.0));
-    arena.observe_trace(trace);
-    legacy.observe_trace(trace);
-    ASSERT_EQ(arena.state_digest(), legacy.state_digest());
-    EXPECT_GT(arena.arena_words(), 0u);
-    EXPECT_EQ(legacy.arena_words(), 0u);
-    expect_engines_identical(trace, arena, legacy,
-                             trace.name() + " maxCS=" +
-                                 std::to_string(max_cs));
+    engine.observe_trace(trace);
+    EXPECT_GT(engine.arena_words(), 0u);
+    expect_engine_matches(trace, engine, &fm,
+                          trace.name() + " maxCS=" + std::to_string(max_cs));
   }
 }
 
 TEST_P(ArenaEquivalence, CursorMatchesLegacyBothDirections) {
   const Trace trace = family_trace(GetParam());
-  const std::size_t n = trace.process_count();
-
-  ClusterTimestampEngine arena(n, engine_config(5, true),
-                               make_merge_on_nth(2.0));
-  ClusterTimestampEngine legacy(n, engine_config(5, false),
+  ClusterTimestampEngine engine(trace.process_count(), engine_config(5),
                                 make_merge_on_nth(2.0));
-  arena.observe_trace(trace);
-  legacy.observe_trace(trace);
+  engine.observe_trace(trace);
+  const LegacyWalk walk(trace, engine);
 
   // Every event as anchor would be quadratic twice over; a stride keeps it
   // fast while still hitting full rows, projections, and sync halves.
   const auto& order = trace.delivery_order();
   for (std::size_t i = 0; i < order.size(); i += 7) {
     const Event& anchor = trace.event(order[i]);
-    const auto cur = arena.cursor(anchor);
+    const auto cur = engine.cursor(anchor);
     for (const EventId x : order) {
       const Event& ev_x = trace.event(x);
-      ASSERT_EQ(cur.anchor_precedes(ev_x), legacy.precedes(anchor, ev_x))
+      ASSERT_EQ(cur.anchor_precedes(ev_x), walk(order[i], x).answer)
           << trace.name() << ": anchor=" << order[i] << " x=" << x;
-      ASSERT_EQ(cur.precedes_anchor(ev_x), legacy.precedes(ev_x, anchor))
+      ASSERT_EQ(cur.precedes_anchor(ev_x), walk(x, order[i]).answer)
           << trace.name() << ": x=" << x << " anchor=" << order[i];
     }
   }
@@ -170,7 +228,7 @@ TEST_P(ArenaEquivalence, CursorMatchesLegacyBothDirections) {
 // where a running sequential meter would.
 TEST_P(ArenaEquivalence, BatchedPrecedenceMatchesSequentialAnswersAndTicks) {
   const Trace trace = family_trace(GetParam());
-  ClusterTimestampEngine arena(trace.process_count(), engine_config(5, true),
+  ClusterTimestampEngine arena(trace.process_count(), engine_config(5),
                                make_merge_on_nth(2.0));
   arena.observe_trace(trace);
 
@@ -230,7 +288,7 @@ TEST_P(ArenaEquivalence, BatchedPrecedenceMatchesSequentialAnswersAndTicks) {
 // and sync halves.
 TEST_P(ArenaEquivalence, CursorBatchMatchesScalarCursorCalls) {
   const Trace trace = family_trace(GetParam());
-  ClusterTimestampEngine arena(trace.process_count(), engine_config(5, true),
+  ClusterTimestampEngine arena(trace.process_count(), engine_config(5),
                                make_merge_on_nth(2.0));
   arena.observe_trace(trace);
 
@@ -256,43 +314,35 @@ TEST_P(ArenaEquivalence, CursorBatchMatchesScalarCursorCalls) {
 INSTANTIATE_TEST_SUITE_P(Families, ArenaEquivalence, ::testing::Range(0, 8));
 
 // The precomputed probes must track in-place mutations: corruption changes
-// the projection bounds the legacy path re-searches per query, and a rebuild
-// restores them. After each hook the two engines must still agree on every
-// pair — this is the refresh_probes() contract.
+// the projection bounds a per-query search would re-read, and a rebuild
+// restores them. After corruption the engine must agree pair for pair with
+// the walk over its corrupted canonical store; after rebuild, with FmStore.
+// This is the refresh_probes() contract.
 TEST(ArenaEquivalence, CorruptionAndRebuildKeepEnginesIdentical) {
   const Trace trace = generate_locality_random(
       {.processes = 12, .group_size = 4, .messages = 150, .seed = 750});
-  const std::size_t n = trace.process_count();
-
-  ClusterTimestampEngine arena(n, engine_config(4, true),
-                               make_merge_on_nth(1.0));
-  ClusterTimestampEngine legacy(n, engine_config(4, false),
+  ClusterTimestampEngine engine(trace.process_count(), engine_config(4),
                                 make_merge_on_nth(1.0));
-  arena.observe_trace(trace);
-  legacy.observe_trace(trace);
+  engine.observe_trace(trace);
 
-  // Corrupt a spread of stored rows in BOTH engines (the corruption model:
-  // both stores took the same bit flips; queries must read them the same).
   const auto& order = trace.delivery_order();
   std::mt19937 rng(751);
   for (std::size_t i = 0; i < order.size(); i += 11) {
     const std::size_t slot = rng() % 8;
     const EventIndex value = rng() % 64;
-    arena.inject_corruption(order[i], slot, value);
-    legacy.inject_corruption(order[i], slot, value);
+    engine.inject_corruption(order[i], slot, value);
   }
-  expect_engines_identical(trace, arena, legacy, "post-corruption");
+  expect_engine_matches(trace, engine, nullptr, "post-corruption");
 
-  // Repair every cluster in both engines; they must converge back together
-  // (and to the digest of an untouched replay).
+  // Repair every cluster; answers must converge back to Fidge/Mattern.
   const auto event_of = [&trace](EventId id) -> const Event& {
     return trace.event(id);
   };
-  for (const ClusterId c : arena.clusters().clusters()) {
-    arena.rebuild_cluster(c, order, event_of);
-    legacy.rebuild_cluster(c, order, event_of);
+  for (const ClusterId c : engine.clusters().clusters()) {
+    engine.rebuild_cluster(c, order, event_of);
   }
-  expect_engines_identical(trace, arena, legacy, "post-rebuild");
+  const FmStore fm(trace);
+  expect_engine_matches(trace, engine, &fm, "post-rebuild");
 }
 
 // ---------------------------------------------------------- greedy clustering
@@ -699,7 +749,7 @@ TEST(CompactStore, DeltaModeDecodesIdenticalToAbsolute) {
                                            .requests = 80,
                                            .seed = 756});
   ClusterTimestampEngine engine(trace.process_count(),
-                                engine_config(5, true),
+                                engine_config(5),
                                 make_merge_on_nth(1.0));
   engine.observe_trace(trace);
 

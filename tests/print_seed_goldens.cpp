@@ -18,7 +18,7 @@ void print_direct(const char* name, const Trace& t) {
 }
 
 void print_tree_clock(const char* name, const Trace& t) {
-  const TreeClockStore store(t, /*use_arena=*/true);
+  const TreeClockStore store(t);
   std::printf("      {\"%s\", 0x%016llxull},\n", name,
               static_cast<unsigned long long>(store.state_digest()));
 }

@@ -24,13 +24,12 @@ namespace {
 /// Small deterministic config window covering every backend once.
 std::vector<OracleConfig> small_window() {
   return {
-      OracleConfig{SimBackend::kEngine, SimStrategy::kMergeFirst, 8, true},
-      OracleConfig{SimBackend::kEngine, SimStrategy::kStaticGreedy, 4, false},
-      OracleConfig{SimBackend::kCompact, SimStrategy::kMergeNth, 16, true},
-      OracleConfig{SimBackend::kRecursive, SimStrategy::kFixedContiguous, 4,
-                   true},
-      OracleConfig{SimBackend::kBatchHybrid, SimStrategy::kMergeNth, 8, false},
-      OracleConfig{SimBackend::kBroker, SimStrategy::kMergeFirst, 8, true},
+      OracleConfig{SimBackend::kEngine, SimStrategy::kMergeFirst, 8},
+      OracleConfig{SimBackend::kEngine, SimStrategy::kStaticGreedy, 4},
+      OracleConfig{SimBackend::kCompact, SimStrategy::kMergeNth, 16},
+      OracleConfig{SimBackend::kRecursive, SimStrategy::kFixedContiguous, 4},
+      OracleConfig{SimBackend::kBatchHybrid, SimStrategy::kMergeNth, 8},
+      OracleConfig{SimBackend::kBroker, SimStrategy::kMergeFirst, 8},
   };
 }
 
@@ -101,7 +100,9 @@ TEST(DifferentialOracle, CleanSeedsRunWithoutDivergence) {
 
 TEST(DifferentialOracle, FullMatrixShape) {
   const auto matrix = full_matrix();
-  EXPECT_EQ(matrix.size(), 110u);  // 4 backends×4×3×2 + broker×2×3×2 + tree×2
+  // engine/recursive/batch-hybrid ×4×3 + compact ×4×3×2 codecs
+  // + broker ×2×3 + tree
+  EXPECT_EQ(matrix.size(), 67u);
   std::set<std::string> labels;
   for (const OracleConfig& cfg : matrix) labels.insert(cfg.label());
   EXPECT_EQ(labels.size(), matrix.size());  // labels are unique
@@ -114,6 +115,27 @@ TEST(ReplayIo, RoundTripsBitExactly) {
   const SimSchedule loaded = load_replay(buffer);
   EXPECT_EQ(s, loaded);
   EXPECT_EQ(s.digest(), loaded.digest());
+}
+
+// Older replays carry the retired engine-layout token; it must still load
+// (and be dropped on save, so a re-saved replay no longer mentions it).
+TEST(ReplayIo, AcceptsAndDropsRetiredArenaToken) {
+  std::stringstream old_format(
+      "# ct-simcheck-replay v1\n"
+      "name legacy\n"
+      "seed 3\n"
+      "processes 2\n"
+      "engine maxcs=4 nth=2 arena=0\n"
+      "e 0 1 0 0 0\n");
+  const SimSchedule loaded = load_replay(old_format);
+  EXPECT_EQ(loaded.max_cluster_size, 4u);
+  EXPECT_EQ(loaded.nth_threshold, 2.0);
+  ASSERT_EQ(loaded.ops.size(), 1u);
+
+  std::stringstream saved;
+  save_replay(saved, loaded);
+  EXPECT_EQ(saved.str().find("arena"), std::string::npos);
+  EXPECT_EQ(load_replay(saved), loaded);
 }
 
 TEST(ReplayIo, RejectsMalformedInput) {
