@@ -141,7 +141,7 @@ void BM_Precedence_Recursive(benchmark::State& state) {
   ClusterTimestampEngine engine(t.process_count(), config,
                                 make_merge_on_nth(10));
   engine.observe_trace(t);
-  const TimestampLookup lookup = [&](EventId id) -> const ClusterTimestamp& {
+  const TimestampLookup lookup = [&](EventId id) -> ClusterTimestamp {
     return engine.timestamp(id);
   };
   const auto pairs = query_pairs(t, 1024);

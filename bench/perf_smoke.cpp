@@ -6,8 +6,9 @@
 //     path time), so the machine's absolute speed divides out. A >30%
 //     drop vs. the baseline ratio fails the run.
 //   * det_*      — deterministic counters (cluster counts, query answers,
-//     test counts, arena footprint); any deviation from the baseline fails
-//     — these only change when behaviour changes.
+//     test counts, arena footprint, pool tasks per routed query); any
+//     deviation from the baseline fails — these only change when behaviour
+//     changes.
 //   * ns_per_query_arena, us_per_frontier_cursor — absolute ceilings: the
 //     baseline value x 1.3. The engine has one layout, so there is no
 //     same-run slow path left to divide by.
@@ -41,6 +42,7 @@
 #include "core/engine.hpp"
 #include "core/precedence_kernels.hpp"
 #include "monitor/queries.hpp"
+#include "shard/shard_router.hpp"
 #include "timestamp/fm_store.hpp"
 #include "trace/generators.hpp"
 #include "util/check.hpp"
@@ -88,6 +90,17 @@ std::vector<std::pair<EventId, EventId>> query_pairs(const Trace& t,
   return pairs;
 }
 
+/// The frontier probes shared by the engine cursor and router sections.
+std::vector<EventId> frontier_probes(const Trace& t) {
+  Prng rng(3);
+  const auto order = t.delivery_order();
+  std::vector<EventId> probes;
+  for (std::size_t i = 0; i < 48; ++i) {
+    probes.push_back(order[rng.index(order.size())]);
+  }
+  return probes;
+}
+
 // ------------------------------------------------ precedence and frontier
 
 void smoke_precedence(const Trace& t) {
@@ -133,12 +146,7 @@ void smoke_precedence(const Trace& t) {
               query_s * per);
 
   // ------------------------------------------------ frontier: cursor
-  Prng rng(3);
-  const auto order = t.delivery_order();
-  std::vector<EventId> probes;
-  for (std::size_t i = 0; i < 48; ++i) {
-    probes.push_back(order[rng.index(order.size())]);
-  }
+  const std::vector<EventId> probes = frontier_probes(t);
   const auto size_of = [&](ProcessId q) { return t.process_size(q); };
   const auto via_cursor = [&](EventId e) {
     const auto cur = engine.cursor(t.event(e));
@@ -173,6 +181,101 @@ void smoke_precedence(const Trace& t) {
   bench::json_metric("us_per_frontier_cursor", frontier_s * perq);
   std::printf("frontier:   %zu queries (%zu tests), %.1f us/query\n",
               probes.size(), tests, frontier_s * perq);
+}
+
+// ------------------------------------------------ router serving path
+
+/// The path a caller sees (ShardRouter -> QueryBroker -> engine), gated on
+/// exact work counts: a routed query hands no task to the pool, and a
+/// serving frontier issues exactly compute_frontiers's precedence tests on
+/// the same probes. The per-query times are recorded, not gated.
+void smoke_router(const Trace& t) {
+  TenantConfig config;
+  config.process_count = t.process_count();
+  config.monitor.cluster = {.max_cluster_size = 13,
+                            .fm_vector_width = kProcesses};
+  ShardRouter router;
+  const TenantId ten = router.add_tenant(config);
+  for (const EventId id : t.delivery_order()) router.ingest(ten, t.event(id));
+  router.open_epoch();
+  const MonitoringEntity& bare = router.shard_monitor(ten, 0);
+  const std::uint64_t tasks_before = router.pool().submitted();
+  std::size_t queries = 0;
+
+  const auto pairs = query_pairs(t, 1 << 12);
+  for (const auto& [e, f] : pairs) {
+    const RouterQueryResult r = router.precedence(ten, e, f);
+    CT_CHECK_MSG(r.answer == bare.precedes(e, f),
+                 "router/monitor disagree on " << e << " -> " << f);
+    ++queries;
+  }
+
+  std::size_t serving_tests = 0, bare_tests = 0;
+  const std::vector<EventId> probes = frontier_probes(t);
+  for (const EventId e : probes) {
+    const RouterQueryResult r = router.frontier(ten, e);
+    const CausalFrontiers want =
+        compute_frontiers(bare, t.process_count(), e);
+    CT_CHECK_MSG(r.frontiers.has_value() &&
+                     r.frontiers->greatest_predecessor ==
+                         want.greatest_predecessor &&
+                     r.frontiers->greatest_concurrent ==
+                         want.greatest_concurrent,
+                 "router frontier diverges at probe " << e);
+    serving_tests += r.frontiers->precedence_tests;
+    bare_tests += want.precedence_tests;
+    ++queries;
+  }
+  CT_CHECK_MSG(serving_tests == bare_tests,
+               "serving frontier issued " << serving_tests
+                                          << " tests, compute_frontiers "
+                                          << bare_tests);
+
+  constexpr std::size_t kBatch = 256;
+  for (std::size_t b = 0; b + kBatch <= pairs.size(); b += kBatch) {
+    const RouterQueryResult r = router.batch(
+        ten, {pairs.begin() + static_cast<std::ptrdiff_t>(b),
+              pairs.begin() + static_cast<std::ptrdiff_t>(b + kBatch)});
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      CT_CHECK_MSG(r.batch[i] == bare.precedes(pairs[b + i].first,
+                                               pairs[b + i].second),
+                   "router batch disagrees at pair " << b + i);
+    }
+    ++queries;
+  }
+  const double tasks =
+      static_cast<double>(router.pool().submitted() - tasks_before);
+
+  const double precedence_s = best_of(5, [&] {
+    std::size_t hits = 0;
+    for (const auto& [e, f] : pairs) {
+      hits += router.precedence(ten, e, f).answer.value_or(false) ? 1U : 0U;
+    }
+    g_sink = hits;
+  });
+  const double frontier_s = best_of(3, [&] {
+    std::size_t total = 0;
+    for (const EventId e : probes) {
+      total += router.frontier(ten, e).frontiers->precedence_tests;
+    }
+    g_sink = total;
+  });
+  router.close_epoch();
+
+  bench::json_metric("det_router_pool_tasks_per_query",
+                     tasks / static_cast<double>(queries));
+  bench::json_metric("det_serving_frontier_tests",
+                     static_cast<double>(serving_tests));
+  bench::json_metric("ns_per_router_precedence",
+                     precedence_s * 1e9 / static_cast<double>(pairs.size()));
+  bench::json_metric("us_per_router_frontier",
+                     frontier_s * 1e6 / static_cast<double>(probes.size()));
+  std::printf("router:     %zu queries, %.0f pool tasks, %.1f ns/precedence, "
+              "%.1f us/frontier (%zu tests)\n",
+              queries, tasks,
+              precedence_s * 1e9 / static_cast<double>(pairs.size()),
+              frontier_s * 1e6 / static_cast<double>(probes.size()),
+              serving_tests);
 }
 
 // ------------------------------------- batched precedence: dispatch tiers
@@ -534,9 +637,10 @@ int main(int argc, char** argv) {
 
   ct::bench::header("perf_smoke", "perf-regression gate (docs/PERF.md)",
                     "Reduced-size runs of the engine precedence path, the "
-                    "frontier cursor, the dispatch tiers, and the heap "
-                    "greedy clustering; gated on same-run speedup ratios, "
-                    "two absolute ceilings, and deterministic counters.");
+                    "frontier cursor, the router serving path, the dispatch "
+                    "tiers, and the heap greedy clustering; gated on "
+                    "same-run speedup ratios, two absolute ceilings, and "
+                    "deterministic counters.");
 
   const ct::Trace t = ct::make_trace();
   std::printf("trace: %zu processes, %zu events\n", t.process_count(),
@@ -545,6 +649,7 @@ int main(int argc, char** argv) {
               ct::kernels::to_string(ct::kernels::active_tier()),
               ct::kernels::to_string(ct::kernels::widest_supported_tier()));
   ct::smoke_precedence(t);
+  ct::smoke_router(t);
   ct::smoke_batch();
   ct::smoke_greedy(t);
 

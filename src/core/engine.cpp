@@ -29,7 +29,6 @@ ClusterTimestampEngine::ClusterTimestampEngine(
       fm_(process_count),
       clusters_(process_count),
       policy_(std::move(policy)),
-      ts_(process_count),
       cluster_receives_(process_count) {
   CT_CHECK_MSG(policy_ != nullptr, "merge policy required");
   CT_CHECK_MSG(config_.max_cluster_size >= 1, "maxCS must be >= 1");
@@ -61,7 +60,6 @@ ClusterTimestampEngine::ClusterTimestampEngine(
       fm_(process_count),
       clusters_(process_count, partition),
       policy_(std::move(policy)),
-      ts_(process_count),
       cluster_receives_(process_count) {
   CT_CHECK_MSG(policy_ != nullptr, "merge policy required");
   CT_CHECK_MSG(config_.max_cluster_size >= 1, "maxCS must be >= 1");
@@ -117,7 +115,7 @@ std::uint32_t ClusterTimestampEngine::covered_set_id(
   if (inserted) {
     CoveredSet cs;
     cs.procs = covered;
-    cs.pos.assign(ts_.size(), -1);
+    cs.pos.assign(row_handles_.size(), -1);
     const auto& procs = *covered;
     for (std::size_t i = 0; i < procs.size(); ++i) {
       cs.pos[procs[i]] = static_cast<std::int32_t>(i);
@@ -133,6 +131,12 @@ std::uint32_t ClusterTimestampEngine::resolve_probe(
   const std::size_t k =
       kernels::count_leq(receives.data(), receives.size(), bound);
   return k == 0 ? kNoProbe : snap.arena.offset_of(receive_rows_[q][k - 1]);
+}
+
+std::size_t ClusterTimestampEngine::row_width(const ArenaSnapshot& snap,
+                                             const RowRef& ref) const {
+  return ref.aux == kFullRowAux ? row_handles_.size()
+                                : snap.covered_sets[ref.aux].procs->size();
 }
 
 void ClusterTimestampEngine::refresh_probes(ArenaSnapshot& snap, EventId id) {
@@ -154,10 +158,9 @@ void ClusterTimestampEngine::publish_snapshot(
   util::EpochDomain::global().retire([old] { delete old; });
 }
 
-const ClusterTimestamp& ClusterTimestampEngine::store(const Event& e,
-                                                      ClusterTimestamp ts) {
-  auto& list = ts_[e.id.process];
-  CT_CHECK_MSG(list.size() + 1 == e.id.index,
+void ClusterTimestampEngine::store(const Event& e,
+                                   const ClusterTimestamp& ts) {
+  CT_CHECK_MSG(row_handles_[e.id.process].size() + 1 == e.id.index,
                "event " << e.id << " stored out of order");
   ++events_;
   if (ts.cluster_receive) {
@@ -196,12 +199,9 @@ const ClusterTimestamp& ClusterTimestampEngine::store(const Event& e,
     }
   }
   snap.row_refs[p].push_back(ref);
-
-  list.push_back(std::move(ts));
-  return list.back();
 }
 
-const ClusterTimestamp& ClusterTimestampEngine::observe(const Event& e) {
+void ClusterTimestampEngine::observe(const Event& e) {
   const FmClock& fm = fm_.observe(e);
   const ProcessId p = e.id.process;
 
@@ -240,28 +240,38 @@ const ClusterTimestamp& ClusterTimestampEngine::observe(const Event& e) {
     ts.values.reserve(ts.covered->size());
     for (const ProcessId q : *ts.covered) ts.values.push_back(fm[q]);
   }
-  return store(e, std::move(ts));
+  store(e, ts);
 }
 
 void ClusterTimestampEngine::observe_trace(const Trace& trace) {
-  CT_CHECK_MSG(trace.process_count() == ts_.size(),
+  CT_CHECK_MSG(trace.process_count() == row_handles_.size(),
                "trace has " << trace.process_count()
-                            << " processes, engine built for " << ts_.size());
+                            << " processes, engine built for "
+                            << row_handles_.size());
   // The trace knows its totals, so the arena pool is sized once.
   // Projections are bounded by maxCS, full vectors by the process count; the
   // sum overshoots but caps at one allocation.
   const std::size_t n = trace.delivery_order().size();
   snap_.load(std::memory_order_relaxed)
-      ->arena.reserve(n, n * std::min(ts_.size(), config_.max_cluster_size) +
+      ->arena.reserve(n, n * std::min(row_handles_.size(), config_.max_cluster_size) +
                              trace.process_count());
   for (const EventId id : trace.delivery_order()) observe(trace.event(id));
 }
 
-const ClusterTimestamp& ClusterTimestampEngine::timestamp(EventId e) const {
-  CT_CHECK_MSG(e.process < ts_.size() && e.index >= 1 &&
-                   e.index <= ts_[e.process].size(),
-               "event " << e << " has not been observed");
-  return ts_[e.process][e.index - 1];
+ClusterTimestamp ClusterTimestampEngine::timestamp(EventId e) const {
+  const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
+  const ArenaSnapshot& snap = *snapshot();
+  if (!snap.observed(e)) [[unlikely]] fail_unobserved(e);
+  const RowRef& ref = snap.row_refs[e.process][e.index - 1];
+  const EventIndex* row = snap.arena.pool_data() + ref.offset;
+  ClusterTimestamp ts;
+  ts.values.assign(row, row + row_width(snap, ref));
+  if (ref.aux == kFullRowAux) {
+    ts.cluster_receive = true;  // only cluster receives store full rows
+  } else {
+    ts.covered = snap.covered_sets[ref.aux].procs;
+  }
+  return ts;
 }
 
 bool ClusterTimestampEngine::precedes(const Event& ev_e,
@@ -279,10 +289,17 @@ std::optional<bool> ClusterTimestampEngine::precedes_metered(
   if (e == f) return false;
   if (ev_e.kind == EventKind::kSync && ev_e.partner == f) return false;
 
-  // One snapshot load per query: every pointer below derives from it, so a
-  // concurrent repair publishing a newer snapshot cannot mix states.
+  // One snapshot load per query: every pointer the walk derives comes from
+  // it, so a concurrent repair publishing a newer snapshot cannot mix
+  // states.
   const ArenaSnapshot& snap = *snapshot();
   if (!snap.observed(f)) [[unlikely]] fail_unobserved(f);
+  return walk(snap, e, f, cost);
+}
+
+std::optional<bool> ClusterTimestampEngine::walk(const ArenaSnapshot& snap,
+                                                 EventId e, EventId f,
+                                                 QueryCost& cost) {
   const RowRef& ref = snap.row_refs[f.process][f.index - 1];
   const EventIndex* pool = snap.arena.pool_data();
   const EventIndex* row = pool + ref.offset;
@@ -400,15 +417,13 @@ ClusterTimestampEngine::PrecedenceCursor::PrecedenceCursor(
       guard_(util::EpochDomain::global().pin()),
       anchor_(anchor.id),
       anchor_partner_(kNoEvent) {
-  CT_CHECK_MSG(anchor_.process < engine_.ts_.size() && anchor_.index >= 1 &&
-                   anchor_.index <= engine_.ts_[anchor_.process].size(),
-               "event " << anchor_ << " has not been observed");
   if (anchor.kind == EventKind::kSync) anchor_partner_ = anchor.partner;
 
   // The epoch pin (taken above, before this load) keeps this snapshot —
   // and every raw pointer resolved from it — alive for the cursor's whole
   // lifetime, even if a repair publishes a newer one.
   snap_ = engine_.snapshot();
+  if (!snap_->observed(anchor_)) [[unlikely]] fail_unobserved(anchor_);
   const EventIndex* pool = snap_->arena.pool_data();
   const RowRef& ref = snap_->row_refs[anchor_.process][anchor_.index - 1];
   row_ = pool + ref.offset;
@@ -429,47 +444,43 @@ ClusterTimestampEngine::PrecedenceCursor::PrecedenceCursor(
 
 bool ClusterTimestampEngine::PrecedenceCursor::anchor_precedes(
     const Event& ev_x) const {
-  const EventId x = ev_x.id;
-  if (x == anchor_) return false;
-  if (x == anchor_partner_) return false;  // sync halves are concurrent
-
-  const RowRef& ref = snap_->row_refs[x.process][x.index - 1];
-  const EventIndex* pool = snap_->arena.pool_data();
-  const EventIndex* row = pool + ref.offset;
-
-  engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-  if (ref.aux == kFullRowAux) return anchor_.index <= row[anchor_.process];
-  const CoveredSet& cs = snap_->covered_sets[ref.aux];
-  if (const std::int32_t slot = cs.pos[anchor_.process]; slot >= 0) {
-    return anchor_.index <= row[static_cast<std::size_t>(slot)];
-  }
-
-  const std::uint32_t* probes =
-      snap_->probe_pool[x.process].data() + ref.probe_off;
-  const std::size_t width = cs.procs->size();
-  for (std::size_t i = 0; i < width; ++i) {
-    const std::uint32_t off = probes[i];
-    if (off == kNoProbe) continue;
-    engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
-    if (anchor_.index <= pool[off + anchor_.process]) return true;
-  }
-  return false;
+  QueryCost unlimited;
+  const bool answer = *anchor_precedes(ev_x, unlimited);
+  engine_.comparisons_.fetch_add(unlimited.ticks, std::memory_order_relaxed);
+  return answer;
 }
 
 bool ClusterTimestampEngine::PrecedenceCursor::precedes_anchor(
     const Event& ev_x) const {
+  QueryCost unlimited;
+  const bool answer = *precedes_anchor(ev_x, unlimited);
+  engine_.comparisons_.fetch_add(unlimited.ticks, std::memory_order_relaxed);
+  return answer;
+}
+
+std::optional<bool> ClusterTimestampEngine::PrecedenceCursor::anchor_precedes(
+    const Event& ev_x, QueryCost& cost) const {
+  const EventId x = ev_x.id;
+  if (x == anchor_) return false;
+  if (x == anchor_partner_) return false;  // sync halves are concurrent
+
+  return walk(*snap_, anchor_, x, cost);  // precedes_metered's walk
+}
+
+std::optional<bool> ClusterTimestampEngine::PrecedenceCursor::precedes_anchor(
+    const Event& ev_x, QueryCost& cost) const {
   const EventId x = ev_x.id;
   if (x == anchor_) return false;
   if (ev_x.kind == EventKind::kSync && ev_x.partner == anchor_) return false;
 
-  engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
+  if (!cost.charge(1)) return std::nullopt;
   if (pos_ == nullptr) return x.index <= row_[x.process];  // full anchor
   if (const std::int32_t slot = pos_[x.process]; slot >= 0) {
     return x.index <= row_[static_cast<std::size_t>(slot)];
   }
   for (const EventIndex* rr : receive_rows_) {
     if (rr == nullptr) continue;
-    engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
+    if (!cost.charge(1)) return std::nullopt;
     if (x.index <= rr[x.process]) return true;
   }
   return false;
@@ -485,6 +496,7 @@ void ClusterTimestampEngine::PrecedenceCursor::anchor_precedes_batch(
   bounds.reserve(n);
   comps.reserve(n);
   direct.reserve(n);
+  std::uint64_t ticks = 0;  // one comparisons() bump per batch
 
   for (std::size_t i = 0; i < n; ++i) {
     const EventId x = xs[i]->id;
@@ -494,7 +506,7 @@ void ClusterTimestampEngine::PrecedenceCursor::anchor_precedes_batch(
     }
     const RowRef& ref = snap_->row_refs[x.process][x.index - 1];
     const EventIndex* row = pool + ref.offset;
-    engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
+    ++ticks;
     if (ref.aux == kFullRowAux) {
       bounds.push_back(anchor_.index);
       comps.push_back(row[anchor_.process]);
@@ -515,7 +527,7 @@ void ClusterTimestampEngine::PrecedenceCursor::anchor_precedes_batch(
     for (std::size_t k = 0; k < width; ++k) {
       const std::uint32_t off = probes[k];
       if (off == kNoProbe) continue;
-      engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
+      ++ticks;
       if (anchor_.index <= pool[off + anchor_.process]) {
         answer = 1;
         break;
@@ -530,6 +542,7 @@ void ClusterTimestampEngine::PrecedenceCursor::anchor_precedes_batch(
   for (std::size_t j = 0; j < direct.size(); ++j) {
     out[direct[j]] = flags[j];
   }
+  engine_.comparisons_.fetch_add(ticks, std::memory_order_relaxed);
 }
 
 void ClusterTimestampEngine::PrecedenceCursor::precedes_anchor_batch(
@@ -541,6 +554,7 @@ void ClusterTimestampEngine::PrecedenceCursor::precedes_anchor_batch(
   bounds.reserve(n);
   comps.reserve(n);
   direct.reserve(n);
+  std::uint64_t ticks = 0;  // one comparisons() bump per batch
 
   for (std::size_t i = 0; i < n; ++i) {
     const Event& ev_x = *xs[i];
@@ -550,7 +564,7 @@ void ClusterTimestampEngine::PrecedenceCursor::precedes_anchor_batch(
       out[i] = 0;
       continue;
     }
-    engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
+    ++ticks;
     if (pos_ == nullptr) {  // full-vector anchor: always covered
       bounds.push_back(x.index);
       comps.push_back(row_[x.process]);
@@ -566,7 +580,7 @@ void ClusterTimestampEngine::PrecedenceCursor::precedes_anchor_batch(
     std::uint8_t answer = 0;
     for (const EventIndex* rr : receive_rows_) {
       if (rr == nullptr) continue;
-      engine_.comparisons_.fetch_add(1, std::memory_order_relaxed);
+      ++ticks;
       if (x.index <= rr[x.process]) {
         answer = 1;
         break;
@@ -581,6 +595,7 @@ void ClusterTimestampEngine::PrecedenceCursor::precedes_anchor_batch(
   for (std::size_t j = 0; j < direct.size(); ++j) {
     out[direct[j]] = flags[j];
   }
+  engine_.comparisons_.fetch_add(ticks, std::memory_order_relaxed);
 }
 
 ClusterTimestampEngine::PrecedenceCursor ClusterTimestampEngine::cursor(
@@ -590,7 +605,7 @@ ClusterTimestampEngine::PrecedenceCursor ClusterTimestampEngine::cursor(
 
 ClusterEngineStats ClusterTimestampEngine::stats() const {
   ClusterEngineStats s;
-  s.process_count = ts_.size();
+  s.process_count = row_handles_.size();
   s.events = events_;
   s.cluster_receives = cluster_receive_count_;
   s.merges = merges_;
@@ -609,13 +624,17 @@ std::uint64_t ClusterTimestampEngine::cluster_digest(ClusterId c) const {
       h = (h ^ ((v >> (i * 8)) & 0xff)) * kPrime;
     }
   };
+  const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
+  const ArenaSnapshot& snap = *snapshot();
+  const EventIndex* pool = snap.arena.pool_data();
   for (const ProcessId p : *clusters_.members(c)) {
     mix(p);
-    mix(ts_[p].size());
-    for (const ClusterTimestamp& ts : ts_[p]) {
-      mix(ts.cluster_receive ? 1 : 0);
-      mix(ts.values.size());
-      for (const EventIndex v : ts.values) mix(v);
+    mix(snap.row_refs[p].size());
+    for (const RowRef& ref : snap.row_refs[p]) {
+      mix(ref.aux == kFullRowAux ? 1 : 0);  // the cluster-receive flag
+      const std::size_t width = row_width(snap, ref);
+      mix(width);
+      for (std::size_t i = 0; i < width; ++i) mix(pool[ref.offset + i]);
     }
   }
   return h;
@@ -623,22 +642,20 @@ std::uint64_t ClusterTimestampEngine::cluster_digest(ClusterId c) const {
 
 void ClusterTimestampEngine::inject_corruption(EventId e, std::size_t slot,
                                                EventIndex value) {
-  CT_CHECK_MSG(e.process < ts_.size() && e.index >= 1 &&
-                   e.index <= ts_[e.process].size(),
-               "event " << e << " has not been observed");
-  auto& values = ts_[e.process][e.index - 1].values;
-  CT_CHECK_MSG(!values.empty(), "timestamp of " << e << " has no components");
-  values[slot % values.size()] = value;
-  // Queries read the arena, so it must carry the corrupted value too. A
-  // mutated projection component also shifts its greatest-cluster-receive
+  // A mutated projection component also shifts its greatest-cluster-receive
   // bound — re-resolve the row's probes against it. The mutation happens on
   // a writer-private clone published with one atomic swap, so in-flight
-  // readers keep a coherent (pre-corruption) snapshot.
+  // readers keep a coherent (pre-corruption) snapshot. Writers are
+  // serialized here, so the published snapshot cannot be retired under us.
   std::lock_guard<std::mutex> writer(snap_writer_mu_);
-  auto next =
-      std::make_unique<ArenaSnapshot>(*snap_.load(std::memory_order_acquire));
+  const ArenaSnapshot& current = *snap_.load(std::memory_order_acquire);
+  if (!current.observed(e)) [[unlikely]] fail_unobserved(e);
+  const std::size_t width =
+      row_width(current, current.row_refs[e.process][e.index - 1]);
+  CT_CHECK_MSG(width > 0, "timestamp of " << e << " has no components");
+  auto next = std::make_unique<ArenaSnapshot>(current);
   next->arena.overwrite_component(row_handles_[e.process][e.index - 1],
-                                  slot % values.size(), value);
+                                  slot % width, value);
   refresh_probes(*next, e);
   publish_snapshot(std::move(next));
 }
@@ -647,7 +664,7 @@ std::uint64_t ClusterTimestampEngine::rebuild_cluster(
     ClusterId c, std::span<const EventId> log,
     const std::function<const Event&(EventId)>& event_of) {
   const auto members = clusters_.members(c);
-  std::vector<bool> in_cluster(ts_.size(), false);
+  std::vector<bool> in_cluster(row_handles_.size(), false);
   for (const ProcessId p : *members) in_cluster[p] = true;
 
   // One clone for the whole repair: every row rewrite and probe refresh
@@ -659,28 +676,29 @@ std::uint64_t ClusterTimestampEngine::rebuild_cluster(
   auto next =
       std::make_unique<ArenaSnapshot>(*snap_.load(std::memory_order_acquire));
 
-  FmEngine scratch(ts_.size());
+  FmEngine scratch(row_handles_.size());
   std::uint64_t elements_written = 0;
+  std::vector<EventIndex> values;
   for (const EventId id : log) {
     const Event& e = event_of(id);
     const FmClock& fm = scratch.observe(e);
     if (!in_cluster[e.id.process]) continue;
-    ClusterTimestamp& ts = ts_[e.id.process][e.id.index - 1];
-    if (ts.is_full()) {
-      ts.values.assign(fm.begin(), fm.end());
+    const RowRef& ref = next->row_refs[e.id.process][e.id.index - 1];
+    if (ref.aux == kFullRowAux) {
+      values.assign(fm.begin(), fm.end());
     } else {
       // Historical covered set: projection shape is part of the retained
       // structure, only the component values are restored.
-      const auto& procs = *ts.covered;
-      ts.values.resize(procs.size());
+      const auto& procs = *next->covered_sets[ref.aux].procs;
+      values.resize(procs.size());
       for (std::size_t i = 0; i < procs.size(); ++i) {
-        ts.values[i] = fm[procs[i]];
+        values[i] = fm[procs[i]];
       }
     }
     next->arena.overwrite_row(row_handles_[e.id.process][e.id.index - 1],
-                              ts.values.data(), ts.values.size());
+                              values.data(), values.size());
     refresh_probes(*next, e.id);
-    elements_written += ts.values.size();
+    elements_written += values.size();
   }
   publish_snapshot(std::move(next));
   return elements_written;

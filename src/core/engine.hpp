@@ -26,14 +26,14 @@
 // path entering covered(f) from outside must pass through a non-merged
 // cluster receive (whose full vector the engine retained).
 //
-// Layout (docs/PERF.md): queries never read ts_. Every stored row is
-// mirrored into a flat TsArena, each covered set carries a dense
-// process→position index, and each projection row's greatest-cluster-receive
-// probes are resolved once at store time, so the test above runs over
-// contiguous pools with O(1) component lookups (core/precedence_kernels.hpp).
-// ts_ remains the canonical store for timestamp(), digests, corruption
-// injection and rebuilds (which keep the mirror coherent); answers match the
-// FM oracle across all trace families (tests/perf_layer_test.cpp).
+// Layout (docs/PERF.md): every stored row lives once, in a flat TsArena;
+// each covered set carries a dense process→position index, and each
+// projection row's greatest-cluster-receive probes are resolved once at
+// store time, so the test above runs over contiguous pools with O(1)
+// component lookups (core/precedence_kernels.hpp). timestamp(), digests,
+// corruption injection and rebuilds read and write the same rows (a row's
+// covered set and full/projection kind come from its descriptor); answers
+// match the FM oracle across all trace families (tests/perf_layer_test.cpp).
 //
 // Lock-free read publication: the arena mirror and every index a query
 // reads are bundled into one ArenaSnapshot behind an atomic pointer.
@@ -122,15 +122,15 @@ class ClusterTimestampEngine {
                          const std::vector<std::vector<ProcessId>>& partition,
                          std::unique_ptr<MergePolicy> policy);
 
-  /// Consumes the next event in delivery order; returns its timestamp
-  /// (stable reference — timestamps are retained in the store).
-  const ClusterTimestamp& observe(const Event& e);
+  /// Consumes the next event in delivery order.
+  void observe(const Event& e);
 
   /// Convenience: observes an entire trace.
   void observe_trace(const Trace& trace);
 
-  /// Timestamp of a previously-observed event.
-  const ClusterTimestamp& timestamp(EventId e) const;
+  /// Timestamp of a previously-observed event, materialized from its
+  /// arena row in the published snapshot (the only stored copy).
+  ClusterTimestamp timestamp(EventId e) const;
 
   /// Precedence: did `e` happen before `f`? Both must have been observed
   /// (an unobserved `f` throws CheckFailure). `ev_e`/`ev_f` are the event
@@ -163,10 +163,20 @@ class ClusterTimestampEngine {
   /// The cursor borrows the engine (no writes may interleave with its use).
   class PrecedenceCursor {
    public:
-    /// anchor → x. `ev_x` must have been observed.
+    /// anchor → x. `ev_x` must have been observed. Ticks are added to
+    /// comparisons(), as precedes() adds them.
     bool anchor_precedes(const Event& ev_x) const;
     /// x → anchor.
     bool precedes_anchor(const Event& ev_x) const;
+
+    /// Metered twins (the broker's frontier path): charge `cost` exactly
+    /// the ticks precedes_metered(anchor, x) / precedes_metered(x, anchor)
+    /// would, return nullopt when the budget runs out mid-test, and touch
+    /// no engine state, so serving threads share no counter cache line.
+    std::optional<bool> anchor_precedes(const Event& ev_x,
+                                        QueryCost& cost) const;
+    std::optional<bool> precedes_anchor(const Event& ev_x,
+                                        QueryCost& cost) const;
 
     /// Batched one-sided tests (out[i] = 0/1, same answers as the scalar
     /// calls above in order): one transpose pass resolves each x's arena
@@ -244,7 +254,9 @@ class ClusterTimestampEngine {
   /// (trace/snapshot.hpp) uses this to detect a divergent replay.
   std::uint64_t state_digest() const;
 
-  /// Component-comparison count across precedes() calls (query-cost probe).
+  /// Component-comparison count across precedes() and unmetered cursor
+  /// calls (query-cost probe). Metered entry points charge their QueryCost
+  /// instead and leave this counter alone.
   std::uint64_t comparisons() const {
     return comparisons_.load(std::memory_order_relaxed);
   }
@@ -257,8 +269,7 @@ class ClusterTimestampEngine {
 
   /// Fault-injection hook (tests/benches model in-memory state corruption —
   /// a flipped bit in the timestamp store): overwrites component
-  /// `slot % width` of e's stored timestamp, in the canonical store AND the
-  /// arena mirror (the queries must read the corrupted value).
+  /// `slot % width` of e's stored timestamp, the row the queries read.
   /// Never used on a healthy path.
   void inject_corruption(EventId e, std::size_t slot, EventIndex value);
 
@@ -305,7 +316,7 @@ class ClusterTimestampEngine {
 
   /// Publishes the empty initial snapshot (constructors only).
   void init_snapshot(std::size_t process_count);
-  const ClusterTimestamp& store(const Event& e, ClusterTimestamp ts);
+  void store(const Event& e, const ClusterTimestamp& ts);
   /// Handles classification + merge decision for a receive-like event whose
   /// partner process is `q`. Returns true if the event is a (non-merged)
   /// cluster receive.
@@ -324,9 +335,18 @@ class ClusterTimestampEngine {
   std::uint32_t resolve_probe(const ArenaSnapshot& snap, ProcessId q,
                               EventIndex bound) const;
 
+  /// The precedence walk of precedes_metered (and the cursor's anchor → x
+  /// test) over one snapshot; `f` must be observed in it.
+  static std::optional<bool> walk(const ArenaSnapshot& snap, EventId e,
+                                  EventId f, QueryCost& cost);
+
+  /// Stored width of a row: the process count for a full row, the
+  /// covered-set size for a projection.
+  std::size_t row_width(const ArenaSnapshot& snap, const RowRef& ref) const;
+
   /// Re-resolves the stored probe rows of a projection row whose component
   /// values were mutated (corruption injection / rebuild), so the probes
-  /// follow the mutated bounds exactly as a per-query search over ts_ would.
+  /// follow the mutated bounds exactly as a per-query search would.
   /// Operates on the given (writer-private) snapshot.
   void refresh_probes(ArenaSnapshot& snap, EventId id);
 
@@ -344,7 +364,6 @@ class ClusterTimestampEngine {
   ClusterSet clusters_;
   std::unique_ptr<MergePolicy> policy_;
 
-  std::vector<std::vector<ClusterTimestamp>> ts_;  // [process][index-1]
   /// Indices of non-merged cluster receives per process, ascending.
   std::vector<std::vector<EventIndex>> cluster_receives_;
   /// Sync halves whose pair decision was taken at the partner's observation.
@@ -388,7 +407,8 @@ class ClusterTimestampEngine {
   /// repairs, but the engine enforces its own invariant locally).
   std::mutex snap_writer_mu_;
   /// Per event: its arena row handle (writer-side mutation hooks only —
-  /// queries go through RowRef offsets).
+  /// queries go through RowRef offsets). Sized to the process count; each
+  /// list's length is the process's observed-event count.
   std::vector<std::vector<TsArena::RowHandle>> row_handles_;
   /// Arena rows of the non-merged cluster receives, parallel to
   /// cluster_receives_ (writer-side: probe resolution input).

@@ -34,8 +34,9 @@
 
 namespace ct {
 
-/// Looks up the stored cluster timestamp of an observed event.
-using TimestampLookup = std::function<const ClusterTimestamp&(EventId)>;
+/// Looks up the stored cluster timestamp of an observed event (by value:
+/// the cluster engine materializes it from its arena row).
+using TimestampLookup = std::function<ClusterTimestamp(EventId)>;
 
 /// Returns whether `e` happened before `f` given stored timestamps obeying
 /// rules R1/R2 above. `comparisons`, if non-null, accrues the number of

@@ -192,6 +192,12 @@ std::size_t MonitoringEntity::precedes_batch_metered(
   return cluster_->precedes_batch_metered(records, cost, out);
 }
 
+std::optional<ClusterTimestampEngine::PrecedenceCursor>
+MonitoringEntity::cursor(EventId anchor) const {
+  if (!cluster_) return std::nullopt;
+  return cluster_->cursor(stored_event(anchor));
+}
+
 std::vector<ClusterId> MonitoringEntity::cluster_ids() const {
   if (!cluster_) return {};
   return cluster_->clusters().clusters();

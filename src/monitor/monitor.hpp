@@ -146,6 +146,12 @@ class MonitoringEntity {
       std::span<const std::pair<EventId, EventId>> pairs, QueryCost& cost,
       std::optional<bool>* out) const;
 
+  /// One-anchor precedence cursor over the cluster backend (the broker's
+  /// frontier path); nullopt on a precomputed-FM monitor. The cursor pins
+  /// the epoch domain for its lifetime.
+  std::optional<ClusterTimestampEngine::PrecedenceCursor> cursor(
+      EventId anchor) const;
+
   /// Timestamp storage in 32-bit words under §4's encoding conventions.
   std::uint64_t timestamp_words() const;
 

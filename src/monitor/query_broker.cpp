@@ -9,8 +9,10 @@ namespace ct {
 
 namespace {
 
-inline std::uint64_t pack(EventId id) {
-  return (static_cast<std::uint64_t>(id.process) << 32) | id.index;
+QueryResult shed_result() {
+  QueryResult shed;
+  shed.outcome = QueryOutcome::kShed;
+  return shed;
 }
 
 }  // namespace
@@ -31,9 +33,21 @@ const char* to_string(QueryOutcome o) {
   return "?";
 }
 
+CausalityBackend& QueryBroker::built(std::size_t i) const {
+  const Link& link = chain_[i];
+  std::call_once(link.once, [&] {
+    auto backend = BackendRegistry::instance().make(link.id, context_);
+    CT_CHECK_MSG(backend->capabilities().supports_frontier,
+                 "chain link " << to_string(link.id)
+                               << " cannot serve frontier queries");
+    link.backend = std::move(backend);
+  });
+  return *link.backend;
+}
+
 std::size_t QueryBroker::slot(ServingBackend b) const {
   for (std::size_t i = 0; i < chain_.size(); ++i) {
-    if (chain_[i]->id() == b) return i;
+    if (chain_[i].id == b) return i;
   }
   CT_CHECK_MSG(false, "not a chain link of this broker: " << to_string(b));
   return 0;
@@ -42,11 +56,10 @@ std::size_t QueryBroker::slot(ServingBackend b) const {
 ServingBackend QueryBroker::worse(ServingBackend a, ServingBackend b) const {
   const auto rank = [this](ServingBackend x) -> std::size_t {
     if (x == ServingBackend::kNone) return 0;
-    if (x == ServingBackend::kCache) return 1;
     for (std::size_t i = 0; i < chain_.size(); ++i) {
-      if (chain_[i]->id() == x) return 2 + i;
+      if (chain_[i].id == x) return 1 + i;
     }
-    return 2 + chain_.size();  // unreachable for answers this broker made
+    return 1 + chain_.size();  // unreachable for answers this broker made
   };
   return rank(a) >= rank(b) ? a : b;
 }
@@ -56,42 +69,37 @@ QueryBroker::QueryBroker(MonitoringEntity& monitor, ThreadPool& pool,
     : monitor_(monitor),
       pool_(pool),
       options_(std::move(options)),
-      trace_(monitor.delivered_trace()) {
+      trace_(monitor.delivered_trace()),
+      chain_(options_.chain.size()) {
   CT_CHECK_MSG(!options_.chain.empty(), "broker chain must not be empty");
 
-  BackendContext ctx;
-  ctx.trace = &trace_;
-  ctx.differential_interval = options_.differential_interval;
-  ctx.ondemand_cache_capacity = options_.ondemand_cache_capacity;
-  // The kCluster link serves from the monitor under an epoch pin: audit
-  // repairs publish fresh engine snapshots and retire the old ones to the
-  // epoch domain, so a reader never blocks on a rebuild.
-  ctx.monitor_precedes = [this](EventId e, EventId f,
-                                QueryCost& cost) -> std::optional<bool> {
-    const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
+  context_.trace = &trace_;
+  context_.differential_interval = options_.differential_interval;
+  context_.ondemand_cache_capacity = options_.ondemand_cache_capacity;
+  // The kCluster link serves from the monitor under the query's epoch pin
+  // (execute() holds it): audit repairs publish fresh engine snapshots and
+  // retire the old ones to the epoch domain, so a reader never blocks on a
+  // rebuild.
+  context_.monitor_precedes = [this](EventId e, EventId f,
+                                     QueryCost& cost) -> std::optional<bool> {
     return monitor_.precedes_metered(e, f, cost);
   };
 
-  const BackendRegistry& registry = BackendRegistry::instance();
-  chain_.reserve(options_.chain.size());
-  for (const ServingBackend b : options_.chain) {
-    for (const auto& built : chain_) {
-      CT_CHECK_MSG(built->id() != b,
+  for (std::size_t i = 0; i < chain_.size(); ++i) {
+    const ServingBackend b = options_.chain[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      CT_CHECK_MSG(chain_[j].id != b,
                    "duplicate chain link: " << to_string(b));
     }
-    chain_.push_back(registry.make(b, ctx));
-    CT_CHECK_MSG(chain_.back()->capabilities().supports_frontier,
-                 "chain link " << to_string(b)
-                               << " cannot serve frontier queries");
-    if (b == ServingBackend::kCluster) cluster_slot_ = chain_.size() - 1;
+    CT_CHECK_MSG(BackendRegistry::instance().registered(b),
+                 "chain link " << to_string(b) << " is not registered");
+    chain_[i].id = b;
+    if (b == ServingBackend::kCluster) {
+      cluster_slot_ = i;
+      (void)built(i);  // the primary: a hook, nothing to materialize
+    }
   }
   breakers_.resize(chain_.size());
-
-  if (options_.answer_cache_capacity > 0) {
-    answer_cache_ = std::make_unique<
-        SynchronizedLruCache<PairKey, bool, PairKeyHash>>(
-        options_.answer_cache_capacity);
-  }
   auditor_ =
       std::make_unique<IntegrityAuditor>(monitor_, trace_, options_.audit);
 }
@@ -100,70 +108,112 @@ QueryBroker::~QueryBroker() { drain(); }
 
 std::future<QueryResult> QueryBroker::submit_precedence(
     EventId e, EventId f, std::optional<std::uint64_t> deadline) {
-  auto job = std::make_unique<Job>();
-  job->kind = Job::Kind::kPrecedence;
-  job->e = e;
-  job->f = f;
-  job->deadline = deadline.value_or(options_.default_deadline);
-  return enqueue(std::move(job));
+  return enqueue(std::make_unique<Job>(
+      make_query(Query::Kind::kPrecedence, e, f, deadline)));
 }
 
 std::future<QueryResult> QueryBroker::submit_frontier(
     EventId e, std::optional<std::uint64_t> deadline) {
-  auto job = std::make_unique<Job>();
-  job->kind = Job::Kind::kFrontier;
-  job->e = e;
-  job->deadline = deadline.value_or(options_.default_deadline);
-  return enqueue(std::move(job));
+  return enqueue(std::make_unique<Job>(
+      make_query(Query::Kind::kFrontier, e, kNoEvent, deadline)));
 }
 
 std::future<QueryResult> QueryBroker::submit_batch(
     std::vector<std::pair<EventId, EventId>> pairs,
     std::optional<std::uint64_t> deadline) {
-  auto job = std::make_unique<Job>();
-  job->kind = Job::Kind::kBatch;
+  auto job = std::make_unique<Job>(
+      make_query(Query::Kind::kBatch, kNoEvent, kNoEvent, deadline));
   job->pairs = std::move(pairs);
-  job->deadline = deadline.value_or(options_.default_deadline);
+  job->query.pairs = job->pairs;
   return enqueue(std::move(job));
+}
+
+QueryResult QueryBroker::precedence(EventId e, EventId f,
+                                    std::optional<std::uint64_t> deadline) {
+  return run_inline(make_query(Query::Kind::kPrecedence, e, f, deadline));
+}
+
+QueryResult QueryBroker::frontier(EventId e,
+                                  std::optional<std::uint64_t> deadline) {
+  return run_inline(
+      make_query(Query::Kind::kFrontier, e, kNoEvent, deadline));
+}
+
+QueryResult QueryBroker::batch(
+    std::span<const std::pair<EventId, EventId>> pairs,
+    std::optional<std::uint64_t> deadline) {
+  Query query = make_query(Query::Kind::kBatch, kNoEvent, kNoEvent, deadline);
+  query.pairs = pairs;
+  return run_inline(query);
+}
+
+QueryBroker::Query QueryBroker::make_query(
+    Query::Kind kind, EventId e, EventId f,
+    std::optional<std::uint64_t> deadline) const {
+  return {kind, e, f, {}, deadline.value_or(options_.default_deadline), false};
+}
+
+std::unique_ptr<QueryBroker::Job> QueryBroker::admit_locked(bool& admitted) {
+  ++health_.submitted;
+  admitted = true;
+  if (options_.max_queue == 0 || queue_.size() < options_.max_queue) {
+    ++health_.in_flight;
+    return nullptr;
+  }
+  ++health_.shed;
+  if (options_.shed_policy == ShedPolicy::kRejectNewest) {
+    admitted = false;  // the incoming query is never admitted
+    return nullptr;
+  }
+  // Bounce the head: it moves from in_flight to shed; the incoming query
+  // takes its place (a queued one also takes its pending pool task).
+  std::unique_ptr<Job> bounced = std::move(queue_.front());
+  queue_.pop_front();
+  return bounced;
 }
 
 std::future<QueryResult> QueryBroker::enqueue(std::unique_ptr<Job> job) {
   std::future<QueryResult> future = job->promise.get_future();
   std::unique_ptr<Job> bounced;  // resolved outside the lock
+  bool admitted = false;
   bool schedule = false;
   {
     std::lock_guard lock(mu_);
-    ++health_.submitted;
-    if (options_.max_queue > 0 && queue_.size() >= options_.max_queue) {
-      ++health_.shed;
-      if (options_.shed_policy == ShedPolicy::kRejectNewest) {
-        bounced = std::move(job);  // the incoming query is never admitted
-      } else {
-        // Bounce the head: it moves from in_flight to shed; the incoming
-        // query takes its place (and, later, its already-submitted pool
-        // task — queue size and pending tasks stay in lockstep).
-        bounced = std::move(queue_.front());
-        queue_.pop_front();
-        --health_.in_flight;
-        queue_.push_back(std::move(job));
-        ++health_.in_flight;
-      }
-    } else {
+    bounced = admit_locked(admitted);
+    if (admitted) {
       queue_.push_back(std::move(job));
-      ++health_.in_flight;
-      ++scheduled_;
-      schedule = true;
+      // Every queued job has a pool task; a kRejectOldest newcomer
+      // inherits the one its bounced head left behind.
+      schedule = bounced == nullptr;
+      if (schedule) ++scheduled_;
     }
     health_.max_queue_depth =
         std::max<std::uint64_t>(health_.max_queue_depth, queue_.size());
   }
-  if (bounced) {
-    QueryResult shed;
-    shed.outcome = QueryOutcome::kShed;
-    bounced->promise.set_value(std::move(shed));
-  }
+  if (bounced) bounced->promise.set_value(shed_result());
+  if (!admitted) job->promise.set_value(shed_result());
   if (schedule) pool_.submit([this] { run_one(); });
   return future;
+}
+
+QueryResult QueryBroker::run_inline(Query query) {
+  std::unique_ptr<Job> bounced;
+  bool admitted = false;
+  {
+    std::lock_guard lock(mu_);
+    bounced = admit_locked(admitted);
+    // An admitted caller joins the queue's tail and dequeues itself at
+    // once: it peaks the depth like a queued job but never holds a slot.
+    health_.max_queue_depth = std::max<std::uint64_t>(
+        health_.max_queue_depth, queue_.size() + (admitted ? 1 : 0));
+    query.primary_healthy = primary_healthy_locked();
+  }
+  if (bounced) bounced->promise.set_value(shed_result());
+  if (!admitted) return shed_result();
+  bool primary_served = false;
+  QueryResult result = execute(query, primary_served);
+  if (resolve(result, primary_served)) audit_step();
+  return result;
 }
 
 void QueryBroker::run_one() {
@@ -173,69 +223,74 @@ void QueryBroker::run_one() {
     if (!queue_.empty()) {
       job = std::move(queue_.front());
       queue_.pop_front();
+      job->query.primary_healthy = primary_healthy_locked();
     }
   }
-  bool audit_due = false;
   if (job) {
-    QueryResult result = execute(*job);
-    {
-      std::lock_guard lock(mu_);
-      switch (result.outcome) {
-        case QueryOutcome::kAnswered: {
-          ++health_.completed;
-          ++health_.answered;
-          // "Past the primary": any chain link after position 0 answered.
-          for (std::size_t i = 1; i < chain_.size(); ++i) {
-            if (chain_[i]->id() == result.backend_used) {
-              ++health_.fallback_answers;
-              break;
-            }
-          }
-          break;
-        }
-        case QueryOutcome::kUnknown:
-          ++health_.completed;
-          ++health_.unknown;
-          break;
-        case QueryOutcome::kDeadlineExpired:
-          ++health_.deadline_expired;
-          break;
-        case QueryOutcome::kFailed:
-          ++health_.failed;
-          break;
-        case QueryOutcome::kShed:
-          CT_CHECK_MSG(false, "executed queries are never shed");
-      }
-      --health_.in_flight;
-      health_.total_ticks += result.cost;
-      if (options_.audit_stride > 0 &&
-          ++resolved_since_audit_ >= options_.audit_stride) {
-        resolved_since_audit_ = 0;
-        audit_due = true;
-      }
-    }
+    bool primary_served = false;
+    QueryResult result = execute(job->query, primary_served);
+    const bool audit_due = resolve(result, primary_served);
     job->promise.set_value(std::move(result));
+    if (audit_due) audit_step();
   }
-  if (audit_due) audit_step();
-  {
-    std::lock_guard lock(mu_);
-    --scheduled_;
-    if (scheduled_ == 0) cv_drained_.notify_all();
-  }
+  std::lock_guard lock(mu_);
+  --scheduled_;
+  if (scheduled_ == 0) cv_drained_.notify_all();
 }
 
-bool QueryBroker::validate(const Job& job) const {
+bool QueryBroker::resolve(const QueryResult& result, bool primary_served) {
+  std::lock_guard lock(mu_);
+  // The chain resets a link's failure streak after every test it serves;
+  // the primary fast paths fold that into one reset per query.
+  if (primary_served) breakers_[0].consecutive_failures = 0;
+  switch (result.outcome) {
+    case QueryOutcome::kAnswered: {
+      ++health_.completed;
+      ++health_.answered;
+      // "Past the primary": any chain link after position 0 answered.
+      for (std::size_t i = 1; i < chain_.size(); ++i) {
+        if (chain_[i].id == result.backend_used) {
+          ++health_.fallback_answers;
+          break;
+        }
+      }
+      break;
+    }
+    case QueryOutcome::kUnknown:
+      ++health_.completed;
+      ++health_.unknown;
+      break;
+    case QueryOutcome::kDeadlineExpired:
+      ++health_.deadline_expired;
+      break;
+    case QueryOutcome::kFailed:
+      ++health_.failed;
+      break;
+    case QueryOutcome::kShed:
+      CT_CHECK_MSG(false, "executed queries are never shed");
+  }
+  --health_.in_flight;
+  health_.total_ticks += result.cost;
+  if (options_.audit_stride > 0 &&
+      ++resolved_since_audit_ >= options_.audit_stride) {
+    resolved_since_audit_ = 0;
+    return true;
+  }
+  return false;
+}
+
+bool QueryBroker::validate(const Query& query) const {
   const auto known = [&](EventId id) {
     return id.process < trace_.process_count() && id.index >= 1 &&
            id.index <= trace_.process_size(id.process);
   };
-  switch (job.kind) {
-    case Job::Kind::kPrecedence:
-      return known(job.e) && known(job.f);
-    case Job::Kind::kFrontier:
-      return known(job.e);
-    case Job::Kind::kBatch:
-      return std::all_of(job.pairs.begin(), job.pairs.end(),
+  switch (query.kind) {
+    case Query::Kind::kPrecedence:
+      return known(query.e) && known(query.f);
+    case Query::Kind::kFrontier:
+      return known(query.e);
+    case Query::Kind::kBatch:
+      return std::all_of(query.pairs.begin(), query.pairs.end(),
                          [&](const auto& p) {
                            return known(p.first) && known(p.second);
                          });
@@ -243,17 +298,21 @@ bool QueryBroker::validate(const Job& job) const {
   return false;
 }
 
-QueryResult QueryBroker::execute(const Job& job) {
+QueryResult QueryBroker::execute(const Query& query, bool& primary_served) {
   QueryResult result;
   QueryCost cost;
-  cost.budget = job.deadline;
+  cost.budget = query.deadline;
 
   // Queries naming undelivered events fail up front: they are caller
   // errors, not backend faults, and must not feed the breakers.
-  if (!validate(job)) {
+  if (!validate(query)) {
     result.outcome = QueryOutcome::kFailed;
     return result;
   }
+
+  // One pin for the whole query: every engine snapshot a test reads stays
+  // alive until the result is built, and no test pays a pin of its own.
+  const util::EpochDomain::Guard pin = util::EpochDomain::global().pin();
 
   const auto finish_status = [&](ChainStatus status) {
     switch (status) {
@@ -271,13 +330,19 @@ QueryResult QueryBroker::execute(const Job& job) {
         break;
     }
   };
+  // One test: the healthy primary directly, else the chain walk.
+  const auto test = [&](EventId e, EventId f, bool* answer,
+                        ServingBackend* used) {
+    return query.primary_healthy
+               ? primary_precedes(e, f, cost, answer, used, primary_served)
+               : chain_precedes(e, f, cost, answer, used);
+  };
 
-  switch (job.kind) {
-    case Job::Kind::kPrecedence: {
+  switch (query.kind) {
+    case Query::Kind::kPrecedence: {
       bool answer = false;
       ServingBackend used = ServingBackend::kNone;
-      const ChainStatus status =
-          chain_precedes(job.e, job.f, cost, &answer, &used);
+      const ChainStatus status = test(query.e, query.f, &answer, &used);
       finish_status(status);
       if (status == ChainStatus::kOk) {
         result.answer = answer;
@@ -285,14 +350,33 @@ QueryResult QueryBroker::execute(const Job& job) {
       }
       break;
     }
-    case Job::Kind::kFrontier: {
+    case Query::Kind::kFrontier: {
+      // A healthy cluster primary serves every test through one cursor
+      // anchored at e (nullopt on a precomputed-FM monitor).
+      const auto cursor =
+          [&]() -> std::optional<ClusterTimestampEngine::PrecedenceCursor> {
+        if (!query.primary_healthy) return std::nullopt;
+        return monitor_.cursor(query.e);
+      }();
       ServingBackend worst = ServingBackend::kNone;
       ChainStatus failure = ChainStatus::kOk;
       const auto precedes = [&](EventId a, EventId b) {
         if (failure != ChainStatus::kOk) return false;  // unwinding
+        if (cursor) {
+          const std::optional<bool> got =
+              a == query.e ? cursor->anchor_precedes(trace_.event(b), cost)
+                           : cursor->precedes_anchor(trace_.event(a), cost);
+          if (!got) {
+            failure = ChainStatus::kDeadline;
+            return false;
+          }
+          primary_served = true;
+          worst = ServingBackend::kCluster;
+          return *got;
+        }
         bool answer = false;
         ServingBackend used = ServingBackend::kNone;
-        const ChainStatus status = chain_precedes(a, b, cost, &answer, &used);
+        const ChainStatus status = test(a, b, &answer, &used);
         if (status != ChainStatus::kOk) {
           failure = status;
           return false;
@@ -301,7 +385,7 @@ QueryResult QueryBroker::execute(const Job& job) {
         return answer;
       };
       CausalFrontiers frontiers = compute_frontiers_with(
-          trace_.process_count(), job.e, precedes, [&](ProcessId q) {
+          trace_.process_count(), query.e, precedes, [&](ProcessId q) {
             return trace_.process_size(q);
           });
       finish_status(failure);
@@ -311,55 +395,46 @@ QueryResult QueryBroker::execute(const Job& job) {
       }
       break;
     }
-    case Job::Kind::kBatch: {
+    case Query::Kind::kBatch: {
       ServingBackend worst = ServingBackend::kNone;
       ChainStatus failure = ChainStatus::kOk;
-      result.batch.assign(job.pairs.size(), std::nullopt);
+      result.batch.assign(query.pairs.size(), std::nullopt);
       std::size_t start = 0;
-      // Bulk fast path: with no answer cache and a healthy cluster link at
-      // the FRONT of the chain, the whole batch runs through the monitor's
-      // kernel-backed batch entry under ONE reader lock — tick accounting
-      // and answers are identical to the per-pair chain below (which, with
-      // the cache off, is exactly "cluster backend per pair"). Any
+      // Bulk fast path: a healthy primary answers the whole batch through
+      // the monitor's kernel-backed batch entry — tick accounting and
+      // answers are identical to the per-pair chain below, which on a
+      // healthy primary is exactly "cluster backend per pair". Any
       // mid-batch backend failure falls back to the chain from the failing
       // pair on.
-      if (!answer_cache_ && cluster_slot_ == std::size_t{0} &&
-          !backend_open(ServingBackend::kCluster)) {
+      if (query.primary_healthy) {
         std::size_t done = 0;
         bool bulk_failed = false;
-        {
-          // Pin the epoch once for the whole batch (zero locks).
-          const util::EpochDomain::Guard pin =
-              util::EpochDomain::global().pin();
-          try {
-            done = monitor_.precedes_batch_metered(job.pairs, cost,
-                                                   result.batch.data());
-          } catch (const CheckFailure&) {
-            bulk_failed = true;
-            while (done < job.pairs.size() &&
-                   result.batch[done].has_value()) {
-              ++done;  // the answered prefix stands; retry the rest
-            }
+        try {
+          done = monitor_.precedes_batch_metered(query.pairs, cost,
+                                                 result.batch.data());
+        } catch (const CheckFailure&) {
+          bulk_failed = true;
+          while (done < query.pairs.size() &&
+                 result.batch[done].has_value()) {
+            ++done;  // the answered prefix stands; retry the rest
           }
         }
         if (done > 0) {
-          // The chain resets the failure streak after every served pair.
-          std::lock_guard lock(mu_);
-          breakers_[*cluster_slot_].consecutive_failures = 0;
+          primary_served = true;
           worst = worse(worst, ServingBackend::kCluster);
         }
         if (bulk_failed) {
           start = done;  // the failing pair re-runs through the full chain
         } else {
-          if (done < job.pairs.size()) failure = ChainStatus::kDeadline;
-          start = job.pairs.size();
+          if (done < query.pairs.size()) failure = ChainStatus::kDeadline;
+          start = query.pairs.size();
         }
       }
-      for (std::size_t i = start; i < job.pairs.size(); ++i) {
+      for (std::size_t i = start; i < query.pairs.size(); ++i) {
         bool answer = false;
         ServingBackend used = ServingBackend::kNone;
         const ChainStatus status = chain_precedes(
-            job.pairs[i].first, job.pairs[i].second, cost, &answer, &used);
+            query.pairs[i].first, query.pairs[i].second, cost, &answer, &used);
         if (status == ChainStatus::kDeadline) {
           failure = status;  // budget gone; later pairs cannot be served
           break;
@@ -388,25 +463,34 @@ QueryBroker::ChainStatus QueryBroker::worse_of_failures(ChainStatus a,
   return a == ChainStatus::kOk ? b : a;
 }
 
+QueryBroker::ChainStatus QueryBroker::primary_precedes(EventId e, EventId f,
+                                                       QueryCost& cost,
+                                                       bool* answer,
+                                                       ServingBackend* used,
+                                                       bool& primary_served) {
+  try {
+    const std::optional<bool> result = monitor_.precedes_metered(e, f, cost);
+    if (!result) return ChainStatus::kDeadline;
+    primary_served = true;
+    *answer = *result;
+    *used = ServingBackend::kCluster;
+    return ChainStatus::kOk;
+  } catch (const CheckFailure&) {
+    note_failure(0);
+    // The primary already failed this test: a chain that answers nothing
+    // past it reports a failure, not an unknown.
+    const ChainStatus rest = chain_precedes(e, f, cost, answer, used, 1);
+    return rest == ChainStatus::kUnknown ? ChainStatus::kFailed : rest;
+  }
+}
+
 QueryBroker::ChainStatus QueryBroker::chain_precedes(EventId e, EventId f,
                                                      QueryCost& cost,
                                                      bool* answer,
-                                                     ServingBackend* used) {
-  if (answer_cache_) {
-    if (!cost.charge(1)) return ChainStatus::kDeadline;
-    if (const auto hit = answer_cache_->get({pack(e), pack(f)})) {
-      {
-        std::lock_guard lock(mu_);
-        ++health_.cache_hits;
-      }
-      *answer = *hit;
-      *used = ServingBackend::kCache;
-      return ChainStatus::kOk;
-    }
-  }
-
+                                                     ServingBackend* used,
+                                                     std::size_t first) {
   bool any_failure = false;
-  for (std::size_t i = 0; i < chain_.size(); ++i) {
+  for (std::size_t i = first; i < chain_.size(); ++i) {
     const bool audited = cluster_slot_ == i;
     {
       std::lock_guard lock(mu_);
@@ -423,8 +507,8 @@ QueryBroker::ChainStatus QueryBroker::chain_precedes(EventId e, EventId f,
       }
     }
     try {
-      const std::optional<bool> result =
-          chain_[i]->precedes_metered(e, f, cost);
+      // A link that cannot be built faults like one that throws.
+      const std::optional<bool> result = built(i).precedes_metered(e, f, cost);
       if (!result) return ChainStatus::kDeadline;
       {
         std::lock_guard lock(mu_);
@@ -435,9 +519,8 @@ QueryBroker::ChainStatus QueryBroker::chain_precedes(EventId e, EventId f,
           ++health_.readmissions;
         }
       }
-      if (answer_cache_) answer_cache_->put({pack(e), pack(f)}, *result);
       *answer = *result;
-      *used = chain_[i]->id();
+      *used = chain_[i].id;
       return ChainStatus::kOk;
     } catch (const CheckFailure&) {
       any_failure = true;
@@ -493,8 +576,6 @@ bool QueryBroker::audit_step() {
       breaker.clean_streak = 0;
     }
   }
-  // Answers cached before the trip may be poisoned; drop them all.
-  if (answer_cache_) answer_cache_->clear();
   for (const ClusterId c : finding.corrupted) {
     // The engine rebuilds a writer-private snapshot and publishes it with
     // one atomic swap: in-flight readers keep the pre-repair snapshot and

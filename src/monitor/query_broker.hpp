@@ -12,9 +12,9 @@
 //  * admission control — a bounded queue with a configurable shedding
 //    policy (reject-newest / reject-oldest) and a BrokerHealth accounting
 //    in which every submitted query lands in exactly one bucket;
-//  * a fallback chain with per-backend circuit breakers — answer cache,
-//    then the links named by BrokerOptions::chain (default: cluster
-//    backend → differential store → on-demand FM), then explicit unknown.
+//  * a fallback chain with per-backend circuit breakers — the links named
+//    by BrokerOptions::chain (default: cluster backend → differential
+//    store → on-demand FM), then explicit unknown.
 //    Links are built through the BackendRegistry (timestamp/
 //    causality_backend.hpp; docs/BACKENDS.md), so new backends — tree
 //    clocks being the first — plug in without broker surgery. A tripped or
@@ -28,6 +28,15 @@
 //    every query pins util::EpochDomain::global() and reads the engine's
 //    published snapshot, which a repair replaces with one atomic swap
 //    (core/engine.hpp).
+//
+// Serving threads: precedence() / frontier() / batch() run a query on the
+// caller's thread (the shard router's path); submit_*() queue it for the
+// pool. Both take the same admission decision, run the same execute()
+// under one epoch pin and account identically. The breaker state is read
+// once per query: while kCluster heads the chain with a closed breaker, a
+// query skips the per-test chain walk — precedence goes straight to the
+// monitor, a frontier through one PrecedenceCursor, a batch through the
+// kernel batch entry — charging exactly the ticks the chain would.
 //
 // Serving epoch: the broker freezes the monitor's delivered state at
 // construction (it reconstructs the delivered trace for its fallback
@@ -43,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -53,15 +63,13 @@
 #include "monitor/queries.hpp"
 #include "timestamp/causality_backend.hpp"
 #include "timestamp/query_cost.hpp"
-#include "util/synchronized_lru.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ct {
 
 // ServingBackend (who produced a query's answer) now lives with the
 // backend registry in timestamp/causality_backend.hpp. A multi-test query
-// reports the *most degraded* source it consulted — chain position, with
-// the cache in front.
+// reports the *most degraded* source it consulted — its chain position.
 
 enum class QueryOutcome : std::uint8_t {
   kAnswered,         ///< exact answer produced
@@ -109,7 +117,9 @@ struct BrokerHealth {
   // Breakdown / informational (not part of the invariant).
   std::uint64_t answered = 0;         ///< completed with an exact answer
   std::uint64_t unknown = 0;          ///< completed as explicit unknown
-  std::uint64_t cache_hits = 0;       ///< precedence tests served from cache
+  /// Retired with the answer cache (always 0); kept so existing readers
+  /// of the health block still compile.
+  std::uint64_t cache_hits = 0;
   std::uint64_t fallback_answers = 0; ///< queries answered past the primary
   std::uint64_t breaker_trips = 0;
   std::uint64_t readmissions = 0;
@@ -145,8 +155,6 @@ struct BrokerOptions {
   /// Work-tick budget applied when a submit call does not name one;
   /// 0 = unlimited.
   std::uint64_t default_deadline = 0;
-  /// Precedence-answer cache entries; 0 disables the cache.
-  std::size_t answer_cache_capacity = 4096;
   /// Checkpoint interval of the differential fallback backend.
   std::size_t differential_interval = 16;
   /// LRU capacity of the on-demand FM fallback backend.
@@ -160,7 +168,7 @@ struct BrokerOptions {
   /// audit_step() is called explicitly.
   std::size_t audit_stride = 0;
   AuditOptions audit;
-  /// The fallback chain, walked front to back after the answer cache. Every
+  /// The fallback chain, walked front to back. Every
   /// entry must name a registered CausalityBackend (no duplicates, no
   /// kNone/kCache). The default reproduces the pre-registry hard-coded
   /// chain exactly; see docs/BACKENDS.md for extending it.
@@ -197,15 +205,25 @@ class QueryBroker {
       std::vector<std::pair<EventId, EventId>> pairs,
       std::optional<std::uint64_t> deadline = {});
 
+  /// Synchronous twins of submit_*(): the query runs on the calling thread
+  /// (no pool task, no promise) after the same admission decision a queued
+  /// job gets, and returns the result the future would have carried. A
+  /// stride audit that falls due also runs on the calling thread.
+  QueryResult precedence(EventId e, EventId f,
+                         std::optional<std::uint64_t> deadline = {});
+  QueryResult frontier(EventId e, std::optional<std::uint64_t> deadline = {});
+  QueryResult batch(std::span<const std::pair<EventId, EventId>> pairs,
+                    std::optional<std::uint64_t> deadline = {});
+
   /// Blocks until every admitted query (and trailing stride audit) has
   /// resolved. The queue may be refilled afterwards.
   void drain();
 
   /// Runs one integrity-audit step inline: sample, cross-check, and on a
-  /// finding trip the cluster breaker, rebuild the corrupted clusters from
-  /// the delivery log, and flush the answer cache. Returns true when the
-  /// step found the state clean. Runs automatically every
-  /// options().audit_stride resolved queries.
+  /// finding trip the cluster breaker and rebuild the corrupted clusters
+  /// from the delivery log. Returns true when the step found the state
+  /// clean. Runs automatically every options().audit_stride resolved
+  /// queries.
   bool audit_step();
 
   /// Manual breaker control (operational kill switch / re-enable).
@@ -221,17 +239,39 @@ class QueryBroker {
 
   /// The constructed fallback chain (registry-built; options().chain order).
   std::size_t chain_length() const { return chain_.size(); }
-  const CausalityBackend& link(std::size_t i) const { return *chain_[i]; }
+  /// Link i, built on first use (a fallback link is materialized only
+  /// when a query first reaches it).
+  const CausalityBackend& link(std::size_t i) const { return built(i); }
 
  private:
   enum class ChainStatus : std::uint8_t { kOk, kDeadline, kUnknown, kFailed };
 
-  struct Job {
-    enum class Kind : std::uint8_t { kPrecedence, kFrontier, kBatch } kind;
-    EventId e, f;
-    std::vector<std::pair<EventId, EventId>> pairs;
+  struct Query {
+    enum class Kind : std::uint8_t { kPrecedence, kFrontier, kBatch };
+    Kind kind = Kind::kPrecedence;
+    EventId e = kNoEvent, f = kNoEvent;
+    std::span<const std::pair<EventId, EventId>> pairs;
     std::uint64_t deadline = 0;
+    /// kCluster heads the chain with a closed breaker; read under mu_ once,
+    /// right before execution.
+    bool primary_healthy = false;
+  };
+
+  /// A queued query: owns its pairs and the promise its future reads.
+  struct Job {
+    explicit Job(Query q) : query(q) {}
+    Query query;
+    std::vector<std::pair<EventId, EventId>> pairs;
     std::promise<QueryResult> promise;
+  };
+
+  /// One chain link. kCluster (a hook into the monitor) is built with the
+  /// broker, every other link on first use: a broker whose primary stays
+  /// healthy never builds, or holds, its fallback state.
+  struct Link {
+    ServingBackend id = ServingBackend::kNone;
+    mutable std::once_flag once;
+    mutable std::unique_ptr<CausalityBackend> backend;
   };
 
   struct Breaker {
@@ -241,45 +281,60 @@ class QueryBroker {
     std::uint64_t clean_streak = 0;
   };
 
+  /// Link i, built on first use (thread-safe; a failed build throws and is
+  /// retried by the next use).
+  CausalityBackend& built(std::size_t i) const;
   /// Chain position of a link id; CT_CHECKs membership.
   std::size_t slot(ServingBackend b) const;
   /// Degradation rank for "most degraded source consulted" reporting:
-  /// kNone < kCache < chain position.
+  /// kNone < chain position.
   ServingBackend worse(ServingBackend a, ServingBackend b) const;
 
-  using PairKey = std::pair<std::uint64_t, std::uint64_t>;
-  struct PairKeyHash {
-    std::size_t operator()(const PairKey& k) const noexcept {
-      std::uint64_t h = k.first * 0x9e3779b97f4a7c15ULL;
-      h ^= k.second + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
-
+  Query make_query(Query::Kind kind, EventId e, EventId f,
+                   std::optional<std::uint64_t> deadline) const;
   std::future<QueryResult> enqueue(std::unique_ptr<Job> job);
+  /// Admission under mu_ for a query about to join the queue: counts the
+  /// submission and applies the shedding policy. Returns the queued job a
+  /// kRejectOldest shed bounced (the caller resolves it outside the lock).
+  std::unique_ptr<Job> admit_locked(bool& admitted);
+  bool primary_healthy_locked() const {
+    return cluster_slot_ == std::size_t{0} && !breakers_[0].open;
+  }
   void run_one();
-  QueryResult execute(const Job& job);
-  /// One precedence test through cache + fallback chain.
+  QueryResult run_inline(Query query);
+  /// Sets `primary_served` when the primary fast path answered a test.
+  QueryResult execute(const Query& query, bool& primary_served);
+  /// Books a resolved query into health_ (and, when the primary served it,
+  /// resets the primary's failure streak once); true = a stride audit is
+  /// due.
+  bool resolve(const QueryResult& result, bool primary_served);
+  /// One precedence test through the fallback chain, from link `first` on.
   ChainStatus chain_precedes(EventId e, EventId f, QueryCost& cost,
-                             bool* answer, ServingBackend* used);
+                             bool* answer, ServingBackend* used,
+                             std::size_t first = 0);
+  /// One test on the healthy primary, straight into the monitor; a fault
+  /// is noted against the primary and the test walks the rest of the chain.
+  ChainStatus primary_precedes(EventId e, EventId f, QueryCost& cost,
+                               bool* answer, ServingBackend* used,
+                               bool& primary_served);
   static ChainStatus worse_of_failures(ChainStatus a, ChainStatus b);
   void note_failure(std::size_t slot);
-  bool validate(const Job& job) const;
+  bool validate(const Query& query) const;
 
   MonitoringEntity& monitor_;
   ThreadPool& pool_;
   BrokerOptions options_;
 
   Trace trace_;  ///< delivered prefix, frozen at construction
+  /// What the registry builds links from (kept for the lazy builds).
+  BackendContext context_;
   /// The fallback links, built from options_.chain via the BackendRegistry.
-  /// The kCluster link reaches the monitor through a hook that pins the
-  /// epoch domain; the rest own their state over trace_.
-  std::vector<std::unique_ptr<CausalityBackend>> chain_;
+  /// The kCluster link reaches the monitor through a hook that runs under
+  /// the query's epoch pin; the rest own their state over trace_.
+  std::vector<Link> chain_;
   /// Chain position of kCluster, when present (audit readmission and the
-  /// batch bulk fast path are cluster-specific).
+  /// primary fast paths are cluster-specific).
   std::optional<std::size_t> cluster_slot_;
-  std::unique_ptr<SynchronizedLruCache<PairKey, bool, PairKeyHash>>
-      answer_cache_;
   std::unique_ptr<IntegrityAuditor> auditor_;
 
   /// Serializes audit steps (the auditor is single-threaded).

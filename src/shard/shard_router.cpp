@@ -1,7 +1,6 @@
 #include "shard/shard_router.hpp"
 
 #include <algorithm>
-#include <future>
 #include <span>
 
 #include "util/check.hpp"
@@ -426,7 +425,7 @@ std::optional<RouterQueryResult> ShardRouter::admit(Tenant& ten) {
         stride != 0 && ten.breaker.submissions_while_open % stride == 0;
     if (!probe) {
       // Fast-fail: the tenant's own repeated unknowns tripped its breaker;
-      // don't burn shared pool time on a fan-out that will not answer.
+      // don't burn serving time on a fan-out that will not answer.
       ++ten.health.breaker_fastfails;
       ++ten.health.unknown;
       RouterQueryResult r;
@@ -438,8 +437,8 @@ std::optional<RouterQueryResult> ShardRouter::admit(Tenant& ten) {
   if (ten.config.max_in_flight != 0 &&
       ten.health.in_flight >= ten.config.max_in_flight) {
     // The admission bulkhead: this tenant already holds its share of the
-    // pool; shedding here is what keeps a noisy tenant from queueing the
-    // whole deployment behind it.
+    // serving threads; shedding here is what keeps a noisy tenant from
+    // queueing the whole deployment behind it.
     ++ten.health.quota_rejections;
     ++ten.health.shed;
     RouterQueryResult r;
@@ -523,10 +522,10 @@ ShardRouter::ShardAttempt ShardRouter::try_shard(Shard& sh, QueryKind kind,
     a.refused = true;
     return a;
   }
+  // The broker serves on this thread: no pool task, no future.
   auto submit = [&](std::uint64_t ticks) {
-    return kind == QueryKind::kPrecedence
-               ? sh.broker->submit_precedence(e, f, ticks).get()
-               : sh.broker->submit_frontier(e, ticks).get();
+    return kind == QueryKind::kPrecedence ? sh.broker->precedence(e, f, ticks)
+                                          : sh.broker->frontier(e, ticks);
   };
   switch (sh.fault) {
     case ShardFault::kDead:
@@ -607,9 +606,9 @@ RouterQueryResult ShardRouter::run_single(Tenant& ten, QueryKind kind,
       out.shard = s;
       // A shard under the corruption kill-switch stays flagged degraded
       // for the whole epoch, whatever backend served: its broker's audit
-      // may repair and re-admit the cluster backend mid-epoch, and its
-      // answer cache serves exact hits, but the router only re-certifies
-      // the replica at the next epoch's coherence check.
+      // may repair and re-admit the cluster backend mid-epoch, but the
+      // router only re-certifies the replica at the next epoch's coherence
+      // check.
       const bool killswitched = ten.shards[s].corrupted;
       out.outcome =
           (k > 0 || killswitched || degraded_backend(out.backend_used))
@@ -637,21 +636,16 @@ RouterQueryResult ShardRouter::run_batch(
     return out;
   }
 
-  // Phase 1: fan out per owner shard, each slice under a proportional cut
-  // of the per-shard budget, all shards in flight concurrently.
+  // Phase 1: one slice per owner shard, each under a proportional cut of
+  // the per-shard budget, served in shard order on this thread (an inline
+  // slice costs less than a pool hop would save).
   std::vector<std::vector<std::size_t>> groups(ten.shards.size());
   for (std::size_t i = 0; i < n; ++i) {
     if (ten.eligible.empty()) break;
     if (pairs[i].second.process >= ten.owner_of_process.size()) continue;
     groups[owner_of(ten, pairs[i].second.process)].push_back(i);
   }
-  struct InFlight {
-    std::future<QueryResult> future;
-    const std::vector<std::size_t>* indices;
-    std::uint64_t cost_factor = 1;
-    bool killswitched = false;
-  };
-  std::vector<InFlight> in_flight;
+  std::vector<std::pair<EventId, EventId>> owned;
   for (ShardId s = 0; s < groups.size(); ++s) {
     const auto& group = groups[s];
     if (group.empty()) continue;
@@ -676,23 +670,18 @@ RouterQueryResult ShardRouter::run_batch(
                                                 : options_.faults.slow_factor;
       eff = slice == 0 ? 0 : std::max<std::uint64_t>(1, slice / factor);
     }
-    std::vector<std::pair<EventId, EventId>> sub;
-    sub.reserve(group.size());
-    for (const std::size_t i : group) sub.push_back(pairs[i]);
-    in_flight.push_back({sh.broker->submit_batch(std::move(sub), eff),
-                         &group, factor, sh.corrupted});
-  }
-  for (InFlight& fl : in_flight) {
-    QueryResult r = fl.future.get();
-    out.cost += r.cost * fl.cost_factor;
+    owned.clear();
+    for (const std::size_t i : group) owned.push_back(pairs[i]);
+    const QueryResult r = sh.broker->batch(owned, eff);
+    out.cost += r.cost * factor;
     if (r.outcome == QueryOutcome::kFailed ||
         r.outcome == QueryOutcome::kShed) {
       continue;  // nothing trustworthy came back; phase 2 retries the slice
     }
-    const bool degraded = degraded_backend(r.backend_used) || fl.killswitched;
+    const bool degraded = degraded_backend(r.backend_used) || sh.corrupted;
     out.backend_used = worse(out.backend_used, r.backend_used);
-    for (std::size_t j = 0; j < fl.indices->size(); ++j) {
-      const std::size_t idx = (*fl.indices)[j];
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      const std::size_t idx = group[j];
       if (j < r.batch.size() && r.batch[j].has_value()) {
         out.batch[idx] = r.batch[j];
         out.batch_outcome[idx] =

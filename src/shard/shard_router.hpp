@@ -3,16 +3,15 @@
 //
 // One monitoring deployment rarely serves one trace. The ROADMAP's target
 // is a fleet: many tenants (independent traced systems), each monitored by
-// a set of shard replicas, all sharing one process and one thread pool. The
-// ShardRouter owns that fleet and adds the two properties a shared
-// deployment needs:
+// a set of shard replicas, all sharing one process. The ShardRouter owns
+// that fleet and adds the two properties a shared deployment needs:
 //
 //  * BULKHEADS — no tenant can hurt another. Each tenant gets its own
 //    monitors, brokers, admission quota (a cap on concurrently executing
 //    queries), circuit breaker (tripped only by that tenant's own repeated
 //    unknowns), and WAL namespace (wal.hpp; recovery of one tenant never
-//    reads a sibling's segments). The only shared resource is the thread
-//    pool, and the quota bounds how much of it one tenant can hold
+//    reads a sibling's segments). The only shared resource is the serving
+//    threads, and the quota bounds how many of them one tenant can hold
 //    (bench/table_shard_isolation measures the effect).
 //
 //  * PARTIAL-FAILURE-TOLERANT FAN-OUT — a query is answered as long as ANY
@@ -22,8 +21,8 @@
 //    shard that OWNS a cluster serves queries about its processes first.
 //    The router retries the owner with a backoff-scaled work-tick budget,
 //    then hedges to sibling replicas; because siblings are replicas,
-//    hedged answers are exact — just flagged kDegraded. Batch queries fan
-//    out per owner shard with proportional budget slices and come back as
+//    hedged answers are exact — just flagged kDegraded. Batch queries split
+//    per owner shard with proportional budget slices and come back as
 //    per-pair answered / degraded / unknown accounting — a degraded
 //    PARTIAL answer instead of an all-or-nothing failure. This mirrors the
 //    QueryBroker's fallback-chain semantics one level up: answers degrade
@@ -43,6 +42,12 @@
 // injected corruption, and re-enables ingest. Queries are thread-safe
 // within an epoch; epoch transitions, ingest, and fault injection must be
 // externally quiesced (same contract as the broker's serving epoch).
+//
+// Serving threads: a query runs on the thread that calls precedence() /
+// frontier() / batch(). Every shard attempt, batch slice included, calls
+// the shard broker's synchronous entry point, so a routed query hands no
+// task to a pool and waits on no future (pool().submitted() stays flat;
+// perf_smoke gates it). The pool exists for brokers' async submit_*() API.
 #pragma once
 
 #include <cstddef>
@@ -102,7 +107,8 @@ struct RouterOptions {
   /// (hedged re-issue; a straggling owner costs its budget, then a
   /// sibling answers).
   std::size_t hedge_limit = 2;
-  /// Threads of the shared serving pool.
+  /// Threads of the pool behind the shard brokers' async submit_*() API
+  /// (routed queries never use it).
   std::size_t pool_threads = 4;
   /// Seeded per-epoch shard faults (all-zero = fault-free).
   ShardFaultPlan faults;
@@ -299,6 +305,7 @@ class ShardRouter {
   TenantHealth tenant_health(TenantId t) const;
   RouterHealth health() const;
   const RouterOptions& options() const { return options_; }
+  const ThreadPool& pool() const { return pool_; }
   const MonitoringEntity& shard_monitor(TenantId t, ShardId s) const;
   /// Test hook (corruption injection before an epoch opens).
   MonitoringEntity& mutable_shard_monitor(TenantId t, ShardId s);

@@ -136,13 +136,13 @@ class BackendInstance {
     if (hybrid_) return hybrid_->precedes(ev_e, ev_f);
     if (store_) {
       return recursive_precedes(ev_e, ev_f, trace_.process_count(),
-                                [this](EventId id) -> const ClusterTimestamp& {
+                                [this](EventId id) -> ClusterTimestamp {
                                   return decode(id);
                                 });
     }
     if (recursive_) {
       return recursive_precedes(ev_e, ev_f, trace_.process_count(),
-                                [this](EventId id) -> const ClusterTimestamp& {
+                                [this](EventId id) -> ClusterTimestamp {
                                   return engine_->timestamp(id);
                                 });
     }
@@ -369,59 +369,75 @@ SimReport run_schedule(const SimSchedule& schedule,
             op.c == 0 ? std::optional<std::uint64_t>{}
                       : std::optional<std::uint64_t>{op.c};
 
-        std::vector<std::future<QueryResult>> futures;
-        futures.reserve(pairs.size());
-        for (const auto& [e, f] : pairs) {
-          futures.push_back(broker.submit_precedence(e, f, deadline));
-        }
-        auto batch_future = broker.submit_batch(pairs);
-        auto frontier_future = broker.submit_frontier(anchor);
-        broker.drain();
-
-        for (std::size_t k = 0; k < futures.size(); ++k) {
-          QueryResult r = futures[k].get();
-          if (r.outcome == QueryOutcome::kFailed) {
-            diverge(op_index, cfg.label(), "broker query failed on healthy state",
-                    pairs[k].first, pairs[k].second);
-            return;
+        // Two passes over the same queries, both checked against FM:
+        // queued on the pool, then served on this thread (the router's
+        // path).
+        for (const bool sync : {false, true}) {
+          const std::string path = sync ? "sync broker" : "broker";
+          std::vector<QueryResult> results;
+          QueryResult batch, fr;
+          if (sync) {
+            for (const auto& [e, f] : pairs) {
+              results.push_back(broker.precedence(e, f, deadline));
+            }
+            batch = broker.batch(pairs);
+            fr = broker.frontier(anchor);
+          } else {
+            std::vector<std::future<QueryResult>> futures;
+            for (const auto& [e, f] : pairs) {
+              futures.push_back(broker.submit_precedence(e, f, deadline));
+            }
+            auto batch_future = broker.submit_batch(pairs);
+            auto frontier_future = broker.submit_frontier(anchor);
+            broker.drain();
+            for (auto& future : futures) results.push_back(future.get());
+            batch = batch_future.get();
+            fr = frontier_future.get();
           }
-          if (r.outcome != QueryOutcome::kAnswered) continue;  // degraded, not wrong
-          ++report.checks;
-          const bool got =
-              apply_hook(cfg, pairs[k].first, pairs[k].second, *r.answer);
-          if (got != expected[k]) {
-            diverge(op_index, cfg.label(),
-                    "broker answer mismatch: got " + std::to_string(got) +
-                        " want " + std::to_string(expected[k]) + " via " +
-                        to_string(r.backend_used),
-                    pairs[k].first, pairs[k].second);
-            return;
-          }
-        }
-        QueryResult batch = batch_future.get();
-        if (batch.outcome == QueryOutcome::kAnswered) {
-          for (std::size_t k = 0; k < pairs.size(); ++k) {
-            if (!batch.batch[k].has_value()) continue;
+          for (std::size_t k = 0; k < results.size(); ++k) {
+            const QueryResult& r = results[k];
+            if (r.outcome == QueryOutcome::kFailed) {
+              diverge(op_index, cfg.label(),
+                      path + " query failed on healthy state",
+                      pairs[k].first, pairs[k].second);
+              return;
+            }
+            if (r.outcome != QueryOutcome::kAnswered) continue;  // degraded
             ++report.checks;
             const bool got =
-                apply_hook(cfg, pairs[k].first, pairs[k].second,
-                           *batch.batch[k]);
+                apply_hook(cfg, pairs[k].first, pairs[k].second, *r.answer);
             if (got != expected[k]) {
-              diverge(op_index, cfg.label(), "broker batch answer mismatch",
+              diverge(op_index, cfg.label(),
+                      path + " answer mismatch: got " + std::to_string(got) +
+                          " want " + std::to_string(expected[k]) + " via " +
+                          to_string(r.backend_used),
                       pairs[k].first, pairs[k].second);
               return;
             }
           }
-        }
-        QueryResult fr = frontier_future.get();
-        if (want_frontier && fr.outcome == QueryOutcome::kAnswered) {
-          ++report.checks;
-          if (fr.frontiers->greatest_predecessor !=
-                  truth_frontier.greatest_predecessor ||
-              fr.frontiers->greatest_concurrent !=
-                  truth_frontier.greatest_concurrent) {
-            diverge(op_index, cfg.label(), "broker frontier mismatch", anchor);
-            return;
+          if (batch.outcome == QueryOutcome::kAnswered) {
+            for (std::size_t k = 0; k < pairs.size(); ++k) {
+              if (!batch.batch[k].has_value()) continue;
+              ++report.checks;
+              const bool got = apply_hook(cfg, pairs[k].first,
+                                          pairs[k].second, *batch.batch[k]);
+              if (got != expected[k]) {
+                diverge(op_index, cfg.label(), path + " batch answer mismatch",
+                        pairs[k].first, pairs[k].second);
+                return;
+              }
+            }
+          }
+          if (want_frontier && fr.outcome == QueryOutcome::kAnswered) {
+            ++report.checks;
+            if (fr.frontiers->greatest_predecessor !=
+                    truth_frontier.greatest_predecessor ||
+                fr.frontiers->greatest_concurrent !=
+                    truth_frontier.greatest_concurrent) {
+              diverge(op_index, cfg.label(), path + " frontier mismatch",
+                      anchor);
+              return;
+            }
           }
         }
         if (!broker.health().accounted()) {

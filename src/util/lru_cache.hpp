@@ -6,8 +6,7 @@
 //
 // CONTRACT: single-threaded. Even get() mutates the recency list, so any
 // cross-thread sharing — including all-reader sharing — is a data race.
-// Concurrent users wrap it (util/synchronized_lru.hpp, as the query
-// broker's answer cache does) or keep one instance per thread.
+// Concurrent users wrap it in a lock or keep one instance per thread.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +44,6 @@ class LruCache {
   /// One hash lookup total: try_emplace probes and claims the slot in a
   /// single pass (the value — a list iterator — is filled in after the
   /// node exists, so the miss path never hashes twice).
-  /// SynchronizedLruCache::put delegates here and inherits the same cost.
   std::size_t put(const Key& key, Value value) {
     const auto [it, inserted] = map_.try_emplace(key);
     if (!inserted) {

@@ -46,12 +46,18 @@ bool ThreadPool::stopped() const {
   return stop_;
 }
 
+std::uint64_t ThreadPool::submitted() const {
+  std::unique_lock lock(mu_);
+  return submitted_;
+}
+
 void ThreadPool::submit(std::function<void()> task) {
   CT_CHECK(task != nullptr);
   {
     std::unique_lock lock(mu_);
     CT_CHECK_MSG(!stop_, "submit after shutdown");
     queue_.push_back(std::move(task));
+    ++submitted_;
   }
   cv_task_.notify_one();
 }
@@ -65,6 +71,7 @@ bool ThreadPool::try_submit(std::function<void()> task) {
     // guaranteed to run.
     if (stop_) return false;
     queue_.push_back(std::move(task));
+    ++submitted_;
   }
   cv_task_.notify_one();
   return true;

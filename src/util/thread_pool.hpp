@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -58,6 +59,10 @@ class ThreadPool {
   /// True once shutdown() has begun; submissions are no longer accepted.
   bool stopped() const;
 
+  /// Tasks accepted since construction: the pool's cross-thread handoffs,
+  /// an exact work counter for callers that should hand off none.
+  std::uint64_t submitted() const;
+
  private:
   void worker_loop();
 
@@ -67,6 +72,7 @@ class ThreadPool {
   std::condition_variable cv_joined_;
   std::deque<std::function<void()>> queue_;
   std::size_t in_flight_ = 0;
+  std::uint64_t submitted_ = 0;
   bool stop_ = false;
   bool join_started_ = false;
   bool join_done_ = false;

@@ -140,7 +140,7 @@ BrokerHealth run_scripted_load(QueryBroker& broker, const Trace& t) {
     const EventId e = rng.pick(events);
     const EventId f = rng.pick(events);
     (void)one(broker.submit_precedence(e, f));
-    if (i % 3 == 0) (void)one(broker.submit_precedence(e, f));  // cache hit
+    if (i % 3 == 0) (void)one(broker.submit_precedence(e, f));  // repeat
     if (i == 20) broker.trip_backend(ServingBackend::kCluster);
     if (i == 35) broker.trip_backend(ServingBackend::kDifferential);
     if (i == 45) {
@@ -163,7 +163,7 @@ BrokerHealth run_scripted_load(QueryBroker& broker, const Trace& t) {
 // pre-refactor hard-coded chain. The explicit chain below names the same
 // links the old broker hard-coded; every BrokerHealth field must agree
 // with the default-constructed chain under an identical scripted load,
-// including trips, readmissions, cache hits, and deadline expiries.
+// including trips, readmissions, repeats, and deadline expiries.
 TEST(QueryBroker, ExplicitDefaultChainAccountsIdenticallyToDefault) {
   const Trace t = registry_trace();
   MonitoringEntity monitor_a(t.process_count(), monitor_options(t));
@@ -194,7 +194,6 @@ TEST(QueryBroker, ExplicitDefaultChainAccountsIdenticallyToDefault) {
   EXPECT_EQ(ha.in_flight, hb.in_flight);
   EXPECT_EQ(ha.answered, hb.answered);
   EXPECT_EQ(ha.unknown, hb.unknown);
-  EXPECT_EQ(ha.cache_hits, hb.cache_hits);
   EXPECT_EQ(ha.fallback_answers, hb.fallback_answers);
   EXPECT_EQ(ha.breaker_trips, hb.breaker_trips);
   EXPECT_EQ(ha.readmissions, hb.readmissions);
@@ -212,7 +211,6 @@ TEST(QueryBroker, TreeClockLinkServesWhenPrimaryTripped) {
   ThreadPool pool(2);
 
   BrokerOptions options;
-  options.answer_cache_capacity = 0;  // attribute every answer to its link
   options.chain.clear();
   options.chain.push_back(ServingBackend::kCluster);
   options.chain.push_back(ServingBackend::kTreeClock);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <future>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -140,9 +141,7 @@ TEST(QueryBroker, DeadlineExpiryIsDeterministic) {
   MonitoringEntity monitor(t.process_count(), broker_monitor_options(t));
   feed(monitor, t);
   ThreadPool pool(1);
-  BrokerOptions options;
-  options.answer_cache_capacity = 0;  // keep repeat costs identical
-  QueryBroker broker(monitor, pool, options);
+  QueryBroker broker(monitor, pool);
 
   // Find a pair whose exact answer needs several work ticks (pairs whose
   // target covers the source's process can resolve in one comparison).
@@ -189,9 +188,7 @@ TEST(QueryBroker, BatchAnswersPrefixUnderSharedBudget) {
   MonitoringEntity monitor(t.process_count(), broker_monitor_options(t));
   feed(monitor, t);
   ThreadPool pool(1);
-  BrokerOptions options;
-  options.answer_cache_capacity = 0;
-  QueryBroker broker(monitor, pool, options);
+  QueryBroker broker(monitor, pool);
 
   std::vector<std::pair<EventId, EventId>> pairs(
       8, {EventId{0, 1}, EventId{1, 2}});
@@ -340,7 +337,9 @@ TEST(QueryBroker, RejectOldestBoundaryIsExactAtCapacity) {
   EXPECT_EQ(h.max_queue_depth, 2u);
 }
 
-TEST(QueryBroker, AnswerCacheServesRepeats) {
+TEST(QueryBroker, RepeatQueriesAreRecomputedIdentically) {
+  // With no answer cache, a repeat is served by the same link at the same
+  // cost; BrokerHealth::cache_hits is retired and stays 0.
   const Trace t = small_trace();
   MonitoringEntity monitor(t.process_count(), broker_monitor_options(t));
   feed(monitor, t);
@@ -354,10 +353,10 @@ TEST(QueryBroker, AnswerCacheServesRepeats) {
   ASSERT_EQ(first.outcome, QueryOutcome::kAnswered);
   ASSERT_EQ(repeat.outcome, QueryOutcome::kAnswered);
   EXPECT_EQ(first.backend_used, ServingBackend::kCluster);
-  EXPECT_EQ(repeat.backend_used, ServingBackend::kCache);
+  EXPECT_EQ(repeat.backend_used, ServingBackend::kCluster);
   EXPECT_EQ(*first.answer, *repeat.answer);
-  EXPECT_LT(repeat.cost, first.cost);
-  EXPECT_GE(broker.health().cache_hits, 1u);
+  EXPECT_EQ(repeat.cost, first.cost);
+  EXPECT_EQ(broker.health().cache_hits, 0u);
 }
 
 TEST(QueryBroker, FallbackChainDegradesAndStaysExact) {
@@ -367,7 +366,6 @@ TEST(QueryBroker, FallbackChainDegradesAndStaysExact) {
   const CausalityOracle oracle(t);
   ThreadPool pool(1);
   BrokerOptions options;
-  options.answer_cache_capacity = 0;  // force every query through the chain
   options.breaker_probe_stride = 0;   // no self-healing probes in this test
   QueryBroker broker(monitor, pool, options);
 
@@ -412,7 +410,6 @@ TEST(QueryBroker, OpenFallbackBreakerHealsViaProbe) {
   feed(monitor, t);
   ThreadPool pool(1);
   BrokerOptions options;
-  options.answer_cache_capacity = 0;
   options.breaker_probe_stride = 2;  // every 2nd bypass probes
   QueryBroker broker(monitor, pool, options);
 
@@ -521,8 +518,7 @@ TEST(QueryBroker, CorruptionAuditRepairReadmitEndToEnd) {
   EXPECT_FALSE(broker.backend_open(ServingBackend::kCluster));
   EXPECT_GE(broker.health().readmissions, 1u);
 
-  // Recovered sweep: cluster serving again (cache may still short-circuit),
-  // all answers exact.
+  // Recovered sweep: cluster serving again, all answers exact.
   const QueryResult again =
       broker.submit_precedence(EventId{2, 1}, EventId{3, 1}, 0).get();
   ASSERT_EQ(again.outcome, QueryOutcome::kAnswered);
@@ -696,9 +692,7 @@ TEST(QueryBroker, DeadlineCanExpireMidFallbackDescent) {
   feed(monitor, t);
 
   ThreadPool pool(1);
-  BrokerOptions options;
-  options.answer_cache_capacity = 0;  // no cache short-circuit
-  QueryBroker broker(monitor, pool, options);
+  QueryBroker broker(monitor, pool);
   // Force the chain past its primary: every query starts its descent at the
   // differential store.
   broker.trip_backend(ServingBackend::kCluster);
@@ -733,7 +727,6 @@ TEST(QueryBroker, FallbackBreakerReclosesViaProbeStride) {
 
   ThreadPool pool(1);
   BrokerOptions options;
-  options.answer_cache_capacity = 0;
   options.breaker_probe_stride = 4;
   QueryBroker broker(monitor, pool, options);
   // Cluster AND differential tripped: queries bypass both and answer at the
@@ -775,6 +768,207 @@ TEST(QueryBroker, FallbackBreakerReclosesViaProbeStride) {
 }
 
 // ----------------------------------------------------- epoch publication
+
+// --- synchronous entry points ---------------------------------------------
+//
+// precedence() / frontier() / batch() run a query on the caller's thread.
+// They must be indistinguishable from submit_*(): the same outcome,
+// answers, ticks and backend, and the same BrokerHealth delta, under every
+// serving condition the broker distinguishes.
+
+std::vector<std::uint64_t> counters(const BrokerHealth& h) {
+  return {h.submitted,       h.completed,     h.deadline_expired,
+          h.shed,            h.failed,        h.in_flight,
+          h.answered,        h.unknown,       h.cache_hits,
+          h.fallback_answers, h.breaker_trips, h.readmissions,
+          h.audit_steps,     h.audit_mismatches, h.rebuilds,
+          h.rebuild_ticks,   h.total_ticks,   h.max_queue_depth};
+}
+
+std::vector<std::uint64_t> delta(const BrokerHealth& before,
+                                 const BrokerHealth& after) {
+  std::vector<std::uint64_t> d = counters(after);
+  const std::vector<std::uint64_t> b = counters(before);
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] -= b[i];
+  return d;
+}
+
+void expect_same_result(const QueryResult& sync, const QueryResult& async,
+                        const std::string& what) {
+  EXPECT_EQ(sync.outcome, async.outcome) << what;
+  EXPECT_EQ(sync.backend_used, async.backend_used) << what;
+  EXPECT_EQ(sync.cost, async.cost) << what;
+  EXPECT_EQ(sync.answer, async.answer) << what;
+  EXPECT_EQ(sync.batch, async.batch) << what;
+  ASSERT_EQ(sync.frontiers.has_value(), async.frontiers.has_value()) << what;
+  if (sync.frontiers) {
+    EXPECT_EQ(sync.frontiers->greatest_predecessor,
+              async.frontiers->greatest_predecessor)
+        << what;
+    EXPECT_EQ(sync.frontiers->greatest_concurrent,
+              async.frontiers->greatest_concurrent)
+        << what;
+    EXPECT_EQ(sync.frontiers->precedence_tests,
+              async.frontiers->precedence_tests)
+        << what;
+  }
+}
+
+/// Serves `sync_call` and `async_call` (the same query) back to back on one
+/// broker and checks result and health-delta identity.
+template <typename Sync, typename Async>
+void expect_sync_matches_async(QueryBroker& broker, Sync&& sync_call,
+                               Async&& async_call, const std::string& what) {
+  const BrokerHealth h0 = broker.health();
+  const QueryResult sync = sync_call();
+  const BrokerHealth h1 = broker.health();
+  ASSERT_TRUE(h1.accounted()) << what;
+  std::future<QueryResult> future = async_call();
+  broker.drain();
+  const QueryResult async = future.get();
+  const BrokerHealth h2 = broker.health();
+  ASSERT_TRUE(h2.accounted()) << what;
+  expect_same_result(sync, async, what);
+  // max_queue_depth is a peak, not a counter: both paths peak at one
+  // queued query on an idle broker, so the deltas agree field for field.
+  EXPECT_EQ(delta(h0, h1), delta(h1, h2)) << what;
+}
+
+enum class Condition { kUnlimited, kTightBudget, kTrippedCluster, kKillSwitch };
+
+void run_identity(Condition condition, TimestampBackend backend) {
+  const Trace t = small_trace();
+  MonitoringEntity monitor(t.process_count(),
+                           broker_monitor_options(t, backend));
+  feed(monitor, t);
+  const auto events = all_events(t);
+  ThreadPool pool(2);
+  QueryBroker broker(monitor, pool);
+
+  if (condition == Condition::kTrippedCluster) {
+    broker.trip_backend(ServingBackend::kCluster);
+  } else if (condition == Condition::kKillSwitch) {
+    // The router's corruption protocol: plant a wrong stored component,
+    // then trip the cluster link so the fallbacks serve exact answers.
+    const EventId victim = events[events.size() / 2];
+    monitor.inject_timestamp_corruption(
+        victim, 0, static_cast<EventIndex>(victim.index ^ 0x2bad));
+    broker.trip_backend(ServingBackend::kCluster);
+  }
+
+  // Budget per query: unlimited, or half of what the query costs when
+  // unlimited (measured on the sync path), so it expires mid-query.
+  const auto budget = [&](const QueryResult& unlimited) -> std::uint64_t {
+    if (condition != Condition::kTightBudget) return 0;
+    return std::max<std::uint64_t>(1, unlimited.cost / 2);
+  };
+
+  Prng rng(211);
+  for (int i = 0; i < 24; ++i) {
+    const EventId e = rng.pick(events);
+    const EventId f = rng.pick(events);
+    const std::uint64_t b = budget(broker.precedence(e, f));
+    expect_sync_matches_async(
+        broker, [&] { return broker.precedence(e, f, b); },
+        [&] { return broker.submit_precedence(e, f, b); },
+        "precedence " + std::to_string(i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    const EventId e = rng.pick(events);
+    const std::uint64_t b = budget(broker.frontier(e));
+    expect_sync_matches_async(
+        broker, [&] { return broker.frontier(e, b); },
+        [&] { return broker.submit_frontier(e, b); },
+        "frontier " + std::to_string(i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    std::vector<std::pair<EventId, EventId>> pairs;
+    for (int k = 0; k < 20; ++k) {
+      pairs.emplace_back(rng.pick(events), rng.pick(events));
+    }
+    const std::uint64_t b = budget(broker.batch(pairs));
+    expect_sync_matches_async(
+        broker, [&] { return broker.batch(pairs, b); },
+        [&] { return broker.submit_batch(pairs, b); },
+        "batch " + std::to_string(i));
+  }
+
+  const BrokerHealth h = broker.health();
+  EXPECT_TRUE(h.accounted());
+  EXPECT_EQ(h.in_flight, 0u);
+  EXPECT_EQ(h.failed, 0u);
+  if (condition == Condition::kTightBudget) {
+    EXPECT_GT(h.deadline_expired, 0u);
+  } else {
+    EXPECT_EQ(h.deadline_expired, 0u);
+  }
+  if (condition == Condition::kTrippedCluster ||
+      condition == Condition::kKillSwitch) {
+    EXPECT_EQ(h.fallback_answers, h.answered);
+  }
+}
+
+TEST(QueryBroker, SyncMatchesAsyncUnderUnlimitedBudget) {
+  run_identity(Condition::kUnlimited, TimestampBackend::kClusterDynamic);
+  run_identity(Condition::kUnlimited, TimestampBackend::kPrecomputedFm);
+}
+
+TEST(QueryBroker, SyncMatchesAsyncWhenBudgetRunsOutMidQuery) {
+  run_identity(Condition::kTightBudget, TimestampBackend::kClusterDynamic);
+  run_identity(Condition::kTightBudget, TimestampBackend::kPrecomputedFm);
+}
+
+TEST(QueryBroker, SyncMatchesAsyncWithClusterLinkTripped) {
+  run_identity(Condition::kTrippedCluster, TimestampBackend::kClusterDynamic);
+}
+
+TEST(QueryBroker, SyncMatchesAsyncUnderCorruptionKillSwitch) {
+  run_identity(Condition::kKillSwitch, TimestampBackend::kClusterDynamic);
+}
+
+TEST(QueryBroker, SyncQueryTakesTheQueuedAdmissionDecision) {
+  const Trace t = small_trace();
+  MonitoringEntity monitor(t.process_count(), broker_monitor_options(t));
+  feed(monitor, t);
+  for (const ShedPolicy policy :
+       {ShedPolicy::kRejectNewest, ShedPolicy::kRejectOldest}) {
+    ThreadPool pool(1);
+    BrokerOptions options;
+    options.max_queue = 2;
+    options.shed_policy = policy;
+    QueryBroker broker(monitor, pool, options);
+
+    PoolGate gate(pool);
+    auto f1 = broker.submit_precedence(EventId{0, 1}, EventId{1, 1});
+    auto f2 = broker.submit_precedence(EventId{0, 1}, EventId{1, 2});
+    // A full queue: the caller is shed (reject-newest) or bounces the head
+    // and is served at once on its own thread (reject-oldest), while the
+    // pool is still gated.
+    const QueryResult r = broker.precedence(EventId{0, 1}, EventId{1, 3});
+    if (policy == ShedPolicy::kRejectNewest) {
+      EXPECT_EQ(r.outcome, QueryOutcome::kShed);
+    } else {
+      EXPECT_EQ(r.outcome, QueryOutcome::kAnswered);
+      ASSERT_EQ(f1.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      EXPECT_EQ(f1.get().outcome, QueryOutcome::kShed);
+    }
+    gate.open();
+    broker.drain();
+    EXPECT_EQ(f2.get().outcome, QueryOutcome::kAnswered);
+    if (policy == ShedPolicy::kRejectNewest) {
+      EXPECT_EQ(f1.get().outcome, QueryOutcome::kAnswered);
+    }
+
+    const BrokerHealth h = broker.health();
+    EXPECT_TRUE(h.accounted());
+    EXPECT_EQ(h.submitted, 3u);
+    EXPECT_EQ(h.shed, 1u);
+    EXPECT_EQ(h.answered, 2u);
+    EXPECT_EQ(h.in_flight, 0u);
+    EXPECT_EQ(h.max_queue_depth, 2u);
+  }
+}
 
 // Rebuild-storm stress tests for the lock-free read path: queries race
 // continuous snapshot publication (rebuild_cluster clones the arena, swaps

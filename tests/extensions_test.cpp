@@ -70,7 +70,7 @@ TEST_P(RecursiveTestProperty, AgreesWithOracleOnBaseEngine) {
     ClusterTimestampEngine engine(trace.process_count(), config,
                                   make_merge_on_nth(1.0));
     engine.observe_trace(trace);
-    const TimestampLookup lookup = [&](EventId id) -> const ClusterTimestamp& {
+    const TimestampLookup lookup = [&](EventId id) -> ClusterTimestamp {
       return engine.timestamp(id);
     };
     for (const EventId e : trace.delivery_order()) {
@@ -101,7 +101,7 @@ TEST(RecursiveTest, CountsComparisons) {
   (void)recursive_precedes(
       trace.event(order.front()), trace.event(order.back()),
       trace.process_count(),
-      [&](EventId id) -> const ClusterTimestamp& {
+      [&](EventId id) -> ClusterTimestamp {
         return engine.timestamp(id);
       },
       &comparisons);

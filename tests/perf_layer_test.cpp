@@ -222,6 +222,66 @@ TEST_P(ArenaEquivalence, CursorMatchesLegacyBothDirections) {
   }
 }
 
+// The broker's frontier path charges cursor tests to the query's meter.
+// Over every pair, both directions, the metered cursor must give
+// precedes_metered's answer AND ticks, expire at the same test under a
+// budget one tick short, and leave comparisons() alone; the unmetered
+// cursor calls must add exactly those ticks to comparisons().
+TEST_P(ArenaEquivalence, MeteredCursorMatchesPrecedesMeteredAllPairs) {
+  const Trace trace = family_trace(GetParam());
+  const auto& order = trace.delivery_order();
+  for (const std::size_t max_cs :
+       {std::size_t{2}, std::size_t{5}, std::size_t{13}}) {
+    ClusterTimestampEngine engine(trace.process_count(),
+                                  engine_config(max_cs),
+                                  make_merge_on_nth(2.0));
+    engine.observe_trace(trace);
+    const std::string where =
+        trace.name() + " maxCS=" + std::to_string(max_cs);
+
+    for (const EventId a : order) {
+      const Event& anchor = trace.event(a);
+      const auto cur = engine.cursor(anchor);
+      std::uint64_t metered_ticks = 0;
+      const std::uint64_t before = engine.comparisons();
+      for (const EventId x : order) {
+        const Event& ev_x = trace.event(x);
+        for (const bool forward : {true, false}) {
+          const Event& e = forward ? anchor : ev_x;
+          const Event& f = forward ? ev_x : anchor;
+          const auto via_cursor = [&](QueryCost& cost) {
+            return forward ? cur.anchor_precedes(ev_x, cost)
+                           : cur.precedes_anchor(ev_x, cost);
+          };
+          QueryCost want, got;
+          const std::optional<bool> expected =
+              engine.precedes_metered(e, f, want);
+          ASSERT_EQ(via_cursor(got), expected)
+              << where << ": " << e.id << " -> " << f.id;
+          ASSERT_EQ(got.ticks, want.ticks)
+              << where << ": " << e.id << " -> " << f.id;
+          metered_ticks += got.ticks;
+          if (want.ticks >= 2) {
+            QueryCost short_want{.ticks = 0, .budget = want.ticks - 1};
+            QueryCost short_got{.ticks = 0, .budget = want.ticks - 1};
+            ASSERT_FALSE(engine.precedes_metered(e, f, short_want));
+            ASSERT_FALSE(via_cursor(short_got))
+                << where << ": " << e.id << " -> " << f.id;
+            ASSERT_EQ(short_got.ticks, short_want.ticks) << where;
+          }
+        }
+      }
+      ASSERT_EQ(engine.comparisons(), before)
+          << where << ": metered cursor calls touched comparisons()";
+      for (const EventId x : order) {
+        (void)cur.anchor_precedes(trace.event(x));
+        (void)cur.precedes_anchor(trace.event(x));
+      }
+      ASSERT_EQ(engine.comparisons() - before, metered_ticks) << where;
+    }
+  }
+}
+
 // The batch-transpose fast path (unlimited budget) must match sequential
 // precedes_metered calls answer-for-answer AND tick-for-tick; a budgeted
 // batch must take the sequential oracle path and stop at exactly the pair

@@ -4,6 +4,8 @@
 // answer-identity check (docs/FAULT_MODEL.md §8).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -81,6 +83,8 @@ TEST(ShardRouter, AnswersMatchOracleAndOwnershipIsPerCluster) {
     EXPECT_FALSE(r.retried);
     EXPECT_FALSE(r.hedged);
   }
+  // Routed queries run on the caller's thread: no pool task per query.
+  EXPECT_EQ(router.pool().submitted(), 0u);
   router.close_epoch();
 
   const TenantHealth h = router.tenant_health(ten);
@@ -472,6 +476,106 @@ TEST(ShardCheck, FaultsConfinedToOneTenantLeaveSiblingsExact) {
   const ShardCheckReport report = run_shard_check(schedule, options);
   EXPECT_TRUE(report.ok()) << report.divergence->detail;
   EXPECT_GT(report.faults_injected, 0u);
+}
+
+// Routed queries serve on their callers' threads while, on the same
+// replica, a side broker takes async submits on its pool and an audit loop
+// corrupts and repairs the cluster store (clone-and-publish writers racing
+// the pinned readers). Under TSan this is the data-race check on the
+// synchronous serving path; on any build it checks that accounting stays
+// exact and that service is exact again once the storm is over. Answers
+// during a corruption window are unspecified, as in the broker storms.
+TEST(SyncServingStorm, RouterQueriesRaceAsyncSubmitsAndAuditRepairs) {
+  const Trace t = small_trace();
+  ShardRouter router;
+  const TenantId ten = router.add_tenant(small_tenant(t, 1));
+  feed(router, ten, t);
+  const CausalityOracle oracle(t);
+  const auto events = all_events(t);
+
+  router.open_epoch();
+  MonitoringEntity& replica = router.mutable_shard_monitor(ten, 0);
+  ThreadPool side_pool(2);
+  BrokerOptions side_options;
+  side_options.max_queue = 0;
+  side_options.audit.pairs_per_step = 2;
+  side_options.audit.clean_steps_to_readmit = 1;
+  QueryBroker side(replica, side_pool, side_options);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> submit_rounds{0}, repairs{0};
+  std::thread submitter([&] {
+    Prng rng(301);
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::vector<std::future<QueryResult>> futures;
+      for (int i = 0; i < 8; ++i) {
+        futures.push_back(
+            i % 4 == 0
+                ? side.submit_frontier(rng.pick(events))
+                : side.submit_precedence(rng.pick(events), rng.pick(events)));
+      }
+      for (auto& f : futures) EXPECT_NE(f.get().outcome, QueryOutcome::kFailed);
+      submit_rounds.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread repairer([&] {
+    Prng rng(302);
+    while (!stop.load(std::memory_order_relaxed)) {
+      replica.inject_timestamp_corruption(rng.pick(events), 0, 0xdeadu);
+      while (!side.audit_step()) {
+      }
+      repairs.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      Prng rng(310 + static_cast<std::uint64_t>(c));
+      // At least 60 queries, and on until the storm has done real work.
+      for (int i = 0;
+           i < 60 || (i < 20000 && (submit_rounds.load() < 8 ||
+                                     repairs.load() < 8));
+           ++i) {
+        RouterQueryResult r;
+        if (i % 10 == 0) {
+          r = router.frontier(ten, rng.pick(events));
+        } else if (i % 10 == 5) {
+          std::vector<std::pair<EventId, EventId>> pairs;
+          for (int k = 0; k < 8; ++k) {
+            pairs.emplace_back(rng.pick(events), rng.pick(events));
+          }
+          r = router.batch(ten, std::move(pairs));
+        } else {
+          r = router.precedence(ten, rng.pick(events), rng.pick(events));
+        }
+        EXPECT_NE(r.outcome, RouterOutcome::kShed);
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  stop.store(true);
+  submitter.join();
+  repairer.join();
+  side.drain();
+
+  EXPECT_TRUE(router.tenant_health(ten).accounted());
+  EXPECT_EQ(router.tenant_health(ten).in_flight, 0u);
+  EXPECT_TRUE(side.health().accounted());
+  EXPECT_EQ(router.pool().submitted(), 0u);
+
+  // Quiesced and repaired: routed service is exact again.
+  while (!side.audit_step()) {
+  }
+  Prng rng(303);
+  for (int i = 0; i < 40; ++i) {
+    const EventId e = rng.pick(events);
+    const EventId f = rng.pick(events);
+    const RouterQueryResult r = router.precedence(ten, e, f);
+    ASSERT_TRUE(r.answer.has_value());
+    EXPECT_EQ(*r.answer, oracle.happened_before(e, f)) << e << " -> " << f;
+  }
+  router.close_epoch();
 }
 
 }  // namespace

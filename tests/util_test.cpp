@@ -22,7 +22,6 @@
 #include "util/lru_cache.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
-#include "util/synchronized_lru.hpp"
 #include "util/thread_pool.hpp"
 #include "util/varint.hpp"
 
@@ -281,48 +280,6 @@ TEST(ThreadPool, ConcurrentShutdownCallersAllObserveTheDrain) {
   }
   for (std::thread& c : closers) c.join();
   EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(SynchronizedLru, BasicPutGetEvict) {
-  SynchronizedLruCache<int, std::string> cache(2);
-  EXPECT_EQ(cache.capacity(), 2u);
-  cache.put(1, "one");
-  cache.put(2, "two");
-  ASSERT_TRUE(cache.get(1).has_value());
-  EXPECT_EQ(*cache.get(1), "one");
-  cache.put(3, "three");  // evicts 2 (1 was touched more recently)
-  EXPECT_FALSE(cache.get(2).has_value());
-  EXPECT_TRUE(cache.get(1).has_value());
-  EXPECT_TRUE(cache.get(3).has_value());
-  EXPECT_EQ(cache.size(), 2u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.get(1).has_value());
-}
-
-TEST(SynchronizedLru, ConcurrentMixedAccessIsSafe) {
-  // Hammer one small cache from several threads; under TSan this validates
-  // the locking (the raw LruCache mutates recency order even on get()).
-  SynchronizedLruCache<int, int> cache(16);
-  std::vector<std::thread> threads;
-  std::atomic<int> hits{0};
-  for (int w = 0; w < 4; ++w) {
-    threads.emplace_back([&cache, &hits, w] {
-      for (int i = 0; i < 2000; ++i) {
-        const int key = (w * 7 + i) % 32;
-        if (const auto v = cache.get(key)) {
-          EXPECT_EQ(*v, key * 3);
-          ++hits;
-        } else {
-          cache.put(key, key * 3);
-        }
-        if (i % 500 == 0 && w == 0) cache.clear();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_LE(cache.size(), cache.capacity());
-  EXPECT_GT(hits.load(), 0);
 }
 
 TEST(Epoch, RetireDefersUntilPinnedReaderUnpins) {
