@@ -5,10 +5,10 @@
 // One locality-structured computation is ingested through a monitor whose
 // delivery tap feeds a write-ahead log on FileStorage (real files, real
 // fsync). Per sync policy: ingest wall time and throughput, syncs issued,
-// WAL bytes, then a cold recovery (snapshot + tail replay) timed and
-// digest-checked against the live monitor. Two extra rows add periodic
-// checkpoints to show snapshot+prune bounding both the WAL size and the
-// replayed tail.
+// WAL bytes, then a cold recovery through the recovery ladder (CTC1
+// checkpoint + tail replay) timed and digest-checked against the live
+// monitor. Two extra rows add periodic checkpoints to show checkpoint+prune
+// bounding both the WAL size and the replayed tail.
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -16,10 +16,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "monitor/monitor.hpp"
+#include "store/recovery_ladder.hpp"
+#include "store/snapshot_store.hpp"
 #include "trace/generators.hpp"
 
 namespace {
@@ -48,7 +49,8 @@ struct Row {
   double ingest_ms = 0.0;
   double events_per_sec = 0.0;
   WalStats stats;
-  std::uint64_t wal_bytes = 0;   ///< segment + snapshot bytes left on disk
+  std::uint64_t checkpoints = 0;
+  std::uint64_t wal_bytes = 0;   ///< segment + checkpoint bytes left on disk
   double recovery_ms = 0.0;
   std::uint64_t replayed = 0;
   std::uint64_t recovered = 0;
@@ -69,7 +71,8 @@ Row run_one(const Trace& t, Row row, const std::string& root) {
   for (const EventId id : t.delivery_order()) {
     monitor.ingest(t.event(id));
     if (row.checkpoint_every != 0 && ++fed % row.checkpoint_every == 0) {
-      log.checkpoint(monitor);
+      checkpoint(log, monitor);
+      ++row.checkpoints;
     }
   }
   log.sync();
@@ -82,9 +85,9 @@ Row run_one(const Trace& t, Row row, const std::string& root) {
   }
 
   const auto rstart = std::chrono::steady_clock::now();
-  const RecoveredMonitor rec =
-      recover_monitor(storage, t.process_count(),
-                      monitor_options(t.process_count()));
+  const LadderRecovery rec =
+      recover_with_ladder(storage, t.process_count(),
+                          monitor_options(t.process_count()));
   row.recovery_ms = ms_since(rstart);
   row.replayed = rec.report.replayed;
   row.recovered = rec.report.recovered_seq;
@@ -106,7 +109,8 @@ int main(int argc, char** argv) {
       "One locality computation ingested with a write-ahead delivery log on\n"
       "real files (fsync per sync point). Per policy: ingest throughput,\n"
       "syncs issued, WAL bytes, and a timed digest-checked cold recovery.\n"
-      "Checkpoint rows show snapshot+prune bounding the replayed tail.");
+      "Checkpoint rows show CTC1 checkpoint+prune bounding the replayed\n"
+      "tail.");
 
   const Trace t = generate_locality_random({.processes = 48,
                                             .group_size = 8,
@@ -124,17 +128,17 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows = {
       {"none", wal_with(SyncPolicy::kNone, 64),
-       0, {}, 0, {}, 0, 0, 0, 0, 0, 0},
+       0, {}, 0, {}, 0, 0, 0, 0, 0, 0, 0},
       {"every-n-64", wal_with(SyncPolicy::kEveryN, 64),
-       0, {}, 0, {}, 0, 0, 0, 0, 0, 0},
+       0, {}, 0, {}, 0, 0, 0, 0, 0, 0, 0},
       {"every-n-8", wal_with(SyncPolicy::kEveryN, 8),
-       0, {}, 0, {}, 0, 0, 0, 0, 0, 0},
+       0, {}, 0, {}, 0, 0, 0, 0, 0, 0, 0},
       {"every-record", wal_with(SyncPolicy::kEveryRecord, 64),
-       0, {}, 0, {}, 0, 0, 0, 0, 0, 0},
+       0, {}, 0, {}, 0, 0, 0, 0, 0, 0, 0},
       {"every-n-64+ckpt", wal_with(SyncPolicy::kEveryN, 64),
-       2000, {}, 0, {}, 0, 0, 0, 0, 0, 0},
+       2000, {}, 0, {}, 0, 0, 0, 0, 0, 0, 0},
       {"on-checkpoint", wal_with(SyncPolicy::kOnCheckpoint, 64),
-       2000, {}, 0, {}, 0, 0, 0, 0, 0, 0},
+       2000, {}, 0, {}, 0, 0, 0, 0, 0, 0, 0},
   };
   for (Row& row : rows) row = run_one(t, row, root);
 
@@ -150,7 +154,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.stats.syncs),
                 static_cast<unsigned long long>(r.stats.commits),
                 static_cast<unsigned long long>(r.stats.rotations),
-                static_cast<unsigned long long>(r.stats.checkpoints),
+                static_cast<unsigned long long>(r.checkpoints),
                 static_cast<unsigned long long>(r.wal_bytes), r.recovery_ms,
                 static_cast<unsigned long long>(r.replayed),
                 static_cast<unsigned long long>(r.recovered),
@@ -181,7 +185,7 @@ int main(int argc, char** argv) {
   bool all_exact = true;
   for (const Row& r : rows) all_exact = all_exact && r.digest_match && r.clean;
   bench::verdict("recovery is exact under every sync policy",
-                 "snapshot + WAL tail rebuilds the pre-crash monitor",
+                 "checkpoint + WAL tail rebuilds the pre-crash monitor",
                  all_exact ? "state digest matches, no truncation, all rows"
                            : "DIGEST MISMATCH OR TRUNCATION",
                  all_exact);
@@ -208,7 +212,7 @@ int main(int argc, char** argv) {
   const Row& ckpt = rows[4];
   bench::verdict(
       "checkpointing bounds the replayed tail and the WAL on disk",
-      "snapshot + prune: replay only the tail since the last snapshot",
+      "checkpoint + prune: replay only the tail since the last checkpoint",
       "replayed " + std::to_string(ckpt.replayed) + " (ckpt) vs " +
           std::to_string(batched.replayed) + " (no ckpt); wal " +
           fmt(static_cast<double>(ckpt.wal_bytes) / 1024.0, 1) + " vs " +

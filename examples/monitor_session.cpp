@@ -15,13 +15,15 @@
 //
 // Run:  ./build/examples/monitor_session [--clients N] [--requests N]
 #include <cstdio>
-#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "monitor/fault_injector.hpp"
 #include "monitor/monitor.hpp"
+#include "store/format.hpp"
+#include "store/snapshot_store.hpp"
 #include "trace/generators.hpp"
-#include "trace/snapshot.hpp"
 #include "util/cli.hpp"
 #include "util/prng.hpp"
 
@@ -191,14 +193,13 @@ int main(int argc, char** argv) {
     const std::size_t cut = arrival.size() / 2;
     for (std::size_t i = 0; i < cut; ++i) monitor.ingest(arrival[i]);
 
-    std::stringstream checkpoint;
-    save_snapshot(checkpoint, monitor);
+    std::string image = encode_columnar(monitor, 1);
     std::printf("\n[checkpoint/restore at event %zu of %zu]\n", cut,
                 arrival.size());
-    std::printf("  snapshot: %zu bytes (CTS1), %zu delivered events\n",
-                checkpoint.str().size(), monitor.stored());
+    std::printf("  snapshot: %zu bytes (CTC1), %zu delivered events\n",
+                image.size(), monitor.stored());
 
-    const auto restored = load_snapshot(checkpoint);
+    const auto restored = ColumnarRestorer::restore(std::move(image));
     // The restarted monitor replays the stream from far enough back to
     // cover everything that was still buffered at the checkpoint (here:
     // from the start). The overlap is harmless — anything the snapshot

@@ -1,10 +1,7 @@
 #include "durability/wal.hpp"
 
 #include <algorithm>
-#include <sstream>
 
-#include "monitor/monitor.hpp"
-#include "trace/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/crc32c.hpp"
 #include "util/varint.hpp"
@@ -58,11 +55,6 @@ std::string segment_object_name(std::uint64_t segment_seq,
   return ns + "wal-" + pad(segment_seq, 8) + ".log";
 }
 
-std::string snapshot_object_name(std::uint64_t record_seq,
-                                 const std::string& ns) {
-  return ns + "snap-" + pad(record_seq, 12) + ".cts";
-}
-
 std::string tenant_namespace(std::uint32_t tenant) {
   return "tenant-" + pad(tenant, 6) + ".";
 }
@@ -99,11 +91,6 @@ std::optional<std::uint64_t> parse_decimal(const std::string& name,
 std::optional<std::uint64_t> parse_segment_name(const std::string& name,
                                                 const std::string& ns) {
   return parse_decimal(name, ns, "wal-", ".log");
-}
-
-std::optional<std::uint64_t> parse_snapshot_name(const std::string& name,
-                                                 const std::string& ns) {
-  return parse_decimal(name, ns, "snap-", ".cts");
 }
 
 std::string encode_migration_intent(const WalMigration& m) {
@@ -538,49 +525,15 @@ void DurableLog::append_migration_commit(std::uint64_t position,
   ++stats_.syncs;
 }
 
-void DurableLog::checkpoint(const MonitoringEntity& monitor) {
-  // Make the covered prefix durable first: the snapshot claims to cover
-  // next_seq_ records, so those records must survive any crash after it.
-  sync();
-  CT_CHECK_MSG(monitor.delivery_log().size() == next_seq_,
-               "checkpoint of a monitor this log does not record: "
-                   << monitor.delivery_log().size() << " delivered vs "
-                   << next_seq_ << " logged");
-
-  std::ostringstream snap;
-  save_snapshot(snap, monitor);
-  const std::string name = wal::snapshot_object_name(next_seq_, options_.ns);
-  if (storage_.exists(name)) storage_.remove(name);
-  storage_.create(name);
-  storage_.append(name, snap.str());
-  storage_.sync(name);
-  storage_.sync_dir();
-  ++stats_.checkpoints;
-  stats_.bytes_appended += snap.str().size();
-
-  // Retain the newest `retain_checkpoints` snapshots; prune WAL segments
-  // wholly covered by the OLDEST retained one (so every retained snapshot
-  // can still recover with the remaining tail).
-  std::vector<std::uint64_t> snap_seqs;
+void DurableLog::prune_through(std::uint64_t position) {
   std::vector<std::pair<std::uint64_t, std::string>> segments;
   for (const std::string& obj : storage_.list()) {
-    if (const auto seq = wal::parse_snapshot_name(obj, options_.ns)) {
-      snap_seqs.push_back(*seq);
-    } else if (const auto seg = wal::parse_segment_name(obj, options_.ns)) {
+    if (const auto seg = wal::parse_segment_name(obj, options_.ns)) {
       segments.emplace_back(*seg, obj);
     }
   }
-  std::sort(snap_seqs.begin(), snap_seqs.end());
   std::sort(segments.begin(), segments.end());
   bool removed = false;
-  const std::size_t retain = std::max<std::size_t>(1, options_.retain_checkpoints);
-  while (snap_seqs.size() > retain) {
-    storage_.remove(wal::snapshot_object_name(snap_seqs.front(), options_.ns));
-    snap_seqs.erase(snap_seqs.begin());
-    ++stats_.snapshots_pruned;
-    removed = true;
-  }
-  const std::uint64_t covered = snap_seqs.front();
   // A segment's records end where the next segment begins; the last (live)
   // segment is never pruned.
   for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
@@ -598,7 +551,7 @@ void DurableLog::checkpoint(const MonitoringEntity& monitor) {
       if (!f.ok()) break;
       next_first = f.value;
     }
-    if (next_first <= covered) {
+    if (next_first <= position) {
       storage_.remove(segments[i].second);
       ++stats_.segments_pruned;
       removed = true;

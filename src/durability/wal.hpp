@@ -1,9 +1,10 @@
 // Segmented write-ahead delivery log (docs/FAULT_MODEL.md §7).
 //
 // Every event the monitoring entity delivers is appended as one framed
-// record, so a crashed monitor restarts from its latest checkpoint snapshot
-// plus the log tail instead of re-requesting the whole stream. The format is
-// built for truncate-at-first-invalid-frame recovery:
+// record, so a crashed monitor restarts from its latest CTC1 checkpoint
+// (src/store/) plus the log tail instead of re-requesting the whole
+// stream. The format is built for truncate-at-first-invalid-frame
+// recovery:
 //
 //   segment object "wal-<seq>.log":
 //     "CTW1" | varint segment_seq | varint first_record_seq
@@ -42,11 +43,11 @@
 // crash may lose — never more (the storage model in storage.hpp enforces
 // exactly this, and the crash sweep verifies it).
 //
-// checkpoint() writes a CTS1 snapshot object (trace/snapshot.hpp, v2: the
-// snapshot embeds its WAL position and a whole-file CRC), prunes segments
-// wholly covered by the oldest retained snapshot, and keeps the newest
-// `retain_checkpoints` snapshots — incremental checkpointing: the WAL only
-// ever grows by the tail since the last snapshot.
+// Checkpointing lives in the store (store/snapshot_store.hpp checkpoint()):
+// it syncs this log, publishes a CTC1 generation named after
+// next_record_seq(), and calls prune_through() with the position of the
+// oldest retained generation — incremental checkpointing: the WAL only ever
+// grows by the tail since the last checkpoint.
 #pragma once
 
 #include <cstddef>
@@ -60,8 +61,6 @@
 #include "model/event.hpp"
 
 namespace ct {
-
-class MonitoringEntity;
 
 /// When the log makes appended records durable.
 enum class SyncPolicy : std::uint8_t {
@@ -77,14 +76,13 @@ struct WalOptions {
   SyncPolicy policy = SyncPolicy::kEveryRecord;
   std::size_t sync_every = 64;            ///< kEveryN batch size
   std::size_t segment_bytes = 256 * 1024; ///< rotation threshold
-  std::size_t retain_checkpoints = 2;     ///< snapshots kept after pruning
-  /// Namespace prefix prepended to every object this log creates (segments
-  /// and snapshots). Many tenants can then share one StorageBackend with
-  /// disjoint object sets: appends, pruning, and recovery of one namespace
-  /// never read or remove another namespace's objects (the bulkhead the
-  /// shard router relies on — docs/FAULT_MODEL.md §8). Must not contain
-  /// '/' (FileStorage maps names to flat paths); "" is the legacy
-  /// single-tenant namespace.
+  /// Namespace prefix prepended to every object this log creates (its
+  /// segments; checkpoints publish into the same namespace). Many tenants
+  /// can then share one StorageBackend with disjoint object sets: appends,
+  /// pruning, and recovery of one namespace never read or remove another
+  /// namespace's objects (the bulkhead the shard router relies on —
+  /// docs/FAULT_MODEL.md §8). Must not contain '/' (FileStorage maps names
+  /// to flat paths); "" is the legacy single-tenant namespace.
   std::string ns;
 };
 
@@ -93,9 +91,7 @@ struct WalStats {
   std::uint64_t syncs = 0;          ///< storage syncs issued
   std::uint64_t commits = 0;        ///< commit frames written
   std::uint64_t rotations = 0;
-  std::uint64_t checkpoints = 0;
   std::uint64_t segments_pruned = 0;
-  std::uint64_t snapshots_pruned = 0;
   std::uint64_t bytes_appended = 0;
 };
 
@@ -138,9 +134,11 @@ class DurableLog {
   /// was appended since the last sync.
   void sync();
 
-  /// Snapshots `monitor` (which must be the monitor this log records for),
-  /// makes it durable, prunes covered segments and stale snapshots.
-  void checkpoint(const MonitoringEntity& monitor);
+  /// Removes every segment whose records all lie below `position` — the
+  /// WAL position of the oldest retained checkpoint — so each retained
+  /// checkpoint can still recover with the remaining tail. The live segment
+  /// is never removed; removals are counted in stats().segments_pruned.
+  void prune_through(std::uint64_t position);
 
   /// Appends a migration-intent frame for the prepare phase and makes it
   /// durable immediately (the intent must survive any crash during verify).
@@ -159,6 +157,8 @@ class DurableLog {
   std::uint64_t synced_record_seq() const { return synced_seq_; }
   const WalStats& stats() const { return stats_; }
   const std::string& segment_name() const { return segment_name_; }
+  StorageBackend& storage() const { return storage_; }
+  const std::string& ns() const { return options_.ns; }
 
  private:
   void open_segment(std::uint64_t first_record_seq);
@@ -188,20 +188,16 @@ inline constexpr std::uint8_t kMigrationCommitFrame = 4;
 inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Object names are `<ns>wal-<seq>.log` / `<ns>snap-<seq>.cts`; the
-/// namespace prefix `ns` (default "": the single-tenant layout, unchanged
-/// from before namespaces existed) partitions one StorageBackend between
-/// tenants. The parse functions return nullopt for names outside `ns` —
-/// including another tenant's objects — which is what keeps every scan,
-/// prune, and recovery namespace-local.
+/// Segment names are `<ns>wal-<seq>.log`; the namespace prefix `ns`
+/// (default "": the single-tenant layout, unchanged from before namespaces
+/// existed) partitions one StorageBackend between tenants. The parse
+/// function returns nullopt for names outside `ns` — including another
+/// tenant's objects — which is what keeps every scan, prune, and recovery
+/// namespace-local.
 std::string segment_object_name(std::uint64_t segment_seq,
                                 const std::string& ns = "");
-std::string snapshot_object_name(std::uint64_t record_seq,
-                                 const std::string& ns = "");
 std::optional<std::uint64_t> parse_segment_name(const std::string& name,
                                                 const std::string& ns = "");
-std::optional<std::uint64_t> parse_snapshot_name(const std::string& name,
-                                                 const std::string& ns = "");
 
 /// Canonical namespace of one tenant: "tenant-<id>.". Fixed-width and
 /// '/'-free so it is valid for both storage backends and lexicographically

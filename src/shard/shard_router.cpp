@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "store/snapshot_store.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
@@ -125,7 +126,7 @@ void ShardRouter::checkpoint_tenant(TenantId t) {
   Tenant& ten = tenant(t);
   CT_CHECK_MSG(ten.wal != nullptr, "checkpoint_tenant without attach_wal");
   CT_CHECK_MSG(!ten.shards[0].retired, "durability leader (shard 0) is gone");
-  ten.wal->checkpoint(*ten.shards[0].monitor);
+  checkpoint(*ten.wal, *ten.shards[0].monitor);
 }
 
 DurableLog* ShardRouter::wal(TenantId t) { return tenant(t).wal.get(); }

@@ -222,7 +222,8 @@ class ShardRouter {
   /// namespace.
   void attach_wal(TenantId t, StorageBackend& storage,
                   WalOptions options = {});
-  /// Checkpoints tenant `t`'s WAL (snapshot + prune); requires attach_wal.
+  /// Checkpoints tenant `t` (store/snapshot_store.hpp checkpoint(): a CTC1
+  /// generation in the tenant namespace + WAL prune); requires attach_wal.
   void checkpoint_tenant(TenantId t);
   DurableLog* wal(TenantId t);
 

@@ -77,12 +77,11 @@ CrashSweepReport run_crash_sweep(const SimSchedule& schedule,
     MonitoringEntity monitor(schedule.process_count, mo);
     DurableLog log(sim, wo);
     monitor.set_delivery_tap([&log](const Event& e) { log.append(e); });
-    auto publish = [&](std::uint64_t generation) {
-      // checkpoint()/sync() made the covered prefix durable first, so a
-      // publication sync boundary still loses nothing.
-      publish_columnar(sim, monitor, generation, copts);
-      published.push_back(
-          PublishedGen{generation, monitor.delivery_log().size()});
+    auto cut_checkpoint = [&] {
+      // checkpoint() makes the covered prefix durable before publishing,
+      // so a publication sync boundary still loses nothing.
+      const ColumnarPublishResult r = checkpoint(log, monitor, copts);
+      published.push_back(PublishedGen{r.generation, r.wal_position});
       ++report.generations_published;
     };
     MigrationConfig mc;
@@ -101,10 +100,7 @@ CrashSweepReport run_crash_sweep(const SimSchedule& schedule,
         if (op.kind == SimOp::Kind::kEmit) {
           monitor.ingest(op.event);
         } else if (op.kind == SimOp::Kind::kCheckpointRestore) {
-          log.checkpoint(monitor);
-          if (params.columnar_store) {
-            publish(static_cast<std::uint64_t>(published.size()) + 1);
-          }
+          cut_checkpoint();
         } else if (op.kind == SimOp::Kind::kMigrate) {
           const auto fault = static_cast<MigrationFault>(op.b % 3);
           const MigrationOutcome outcome = coordinator.run_cycle(fault);
@@ -119,10 +115,7 @@ CrashSweepReport run_crash_sweep(const SimSchedule& schedule,
         // Rebuilds, corruption episodes, and probes are the differential
         // oracle's business; the sweep only needs the delivered stream.
       }
-      log.sync();
-      if (params.columnar_store) {
-        publish(static_cast<std::uint64_t>(published.size()) + 1);
-      }
+      cut_checkpoint();
     } catch (const CheckFailure& fail) {
       diverge(sim.op_count(), "recording", fail.what());
       return report;
@@ -153,22 +146,19 @@ CrashSweepReport run_crash_sweep(const SimSchedule& schedule,
   sample_appends(params.short_samples, CrashFault::kShortWrite);
   sample_appends(params.rot_samples, CrashFault::kBitRot);
   sample_appends(params.stale_samples, CrashFault::kStaleSegment);
-  if (params.columnar_store) {
-    // A publication rename whose directory entry the crash reverted: cut
-    // just past a sampled rename, before any later sync_dir re-hardens it.
-    const std::vector<std::size_t> renames = sim.rename_points();
-    for (std::size_t i = 0;
-         i < params.stale_rename_samples && !renames.empty(); ++i) {
-      const std::size_t at = renames[prng.index(renames.size())];
-      const std::size_t cut =
-          std::min(at + 1 + prng.index(3), sim.op_count());
-      points.push_back(Point{cut, CrashFault::kStaleRename, prng(), false});
-    }
-    // Bit rot in the DURABLE image (mapped-region decay): the one fault
-    // that may corrupt synced bytes, so it is never sampled as a
-    // sync-boundary point — detection, not loss-freedom, is its contract.
-    sample_appends(params.mapped_rot_samples, CrashFault::kMappedRot);
+  // A publication rename whose directory entry the crash reverted: cut just
+  // past a sampled rename, before any later sync_dir re-hardens it.
+  const std::vector<std::size_t> renames = sim.rename_points();
+  for (std::size_t i = 0; i < params.stale_rename_samples && !renames.empty();
+       ++i) {
+    const std::size_t at = renames[prng.index(renames.size())];
+    const std::size_t cut = std::min(at + 1 + prng.index(3), sim.op_count());
+    points.push_back(Point{cut, CrashFault::kStaleRename, prng(), false});
   }
+  // Bit rot in the DURABLE image (mapped-region decay): the one fault that
+  // may corrupt synced bytes, so it is never sampled as a sync-boundary
+  // point — detection, not loss-freedom, is its contract.
+  sample_appends(params.mapped_rot_samples, CrashFault::kMappedRot);
   points.push_back(Point{sim.op_count(), CrashFault::kClean, prng(), true});
 
   // ---- sweep -------------------------------------------------------------
@@ -178,8 +168,7 @@ CrashSweepReport run_crash_sweep(const SimSchedule& schedule,
                               "/" + to_string(params.policy);
 
     // What an ideal disk kept at this cut — the loss-accounting baseline.
-    // Both recoveries run the full ladder: with the columnar store off no
-    // CTC1 objects exist and the ladder IS recover_monitor.
+    // Both recoveries run the full ladder.
     LadderRecovery perfect;
     try {
       const auto ideal =
@@ -212,9 +201,6 @@ CrashSweepReport run_crash_sweep(const SimSchedule& schedule,
       case RecoveryRung::kMapped:
       case RecoveryRung::kMappedPrior:
         ++report.ladder_mapped;
-        break;
-      case RecoveryRung::kSnapshot:
-        ++report.ladder_snapshot;
         break;
       case RecoveryRung::kWalReplay:
       case RecoveryRung::kScratch:

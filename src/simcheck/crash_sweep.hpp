@@ -2,8 +2,9 @@
 //
 // One sweep takes a generated schedule (generator.hpp), runs it against a
 // live monitor whose deliveries feed a write-ahead log on SimulatedStorage
-// (the recording pass), then crashes the storage at many points — every
-// sync boundary, plus sampled mid-record torn writes, bit flips, and stale
+// and that checkpoints at every checkpoint op and at the end (the
+// recording pass), then crashes the storage at many points — every sync
+// boundary, plus sampled mid-record torn writes, bit flips, and stale
 // segments — and recovers from each crashed image. For every crash point it
 // checks, against a recovery of the *perfect* image at the same cut (what an
 // ideal disk would have kept):
@@ -49,15 +50,12 @@ struct CrashSweepParams {
   std::size_t short_samples = 8;   ///< sampled record-boundary (short) cuts
   std::size_t rot_samples = 4;     ///< sampled bit-rot crashes
   std::size_t stale_samples = 2;   ///< sampled stale-segment crashes
-  /// Publish a CTC1 columnar generation (src/store/) at every checkpoint op
-  /// and at the end of the recording pass, and recover every crash point
-  /// through the recovery ladder. The sweep then also crashes at every
-  /// snapshot-publication sync boundary, at sampled stale-rename points
-  /// (a publication rename reverted by the crash), and with sampled
-  /// mapped-region bit rot — and checks that the recovered state is always
-  /// some published generation (or an older rung), never a half-published
-  /// or silently-corrupt one.
-  bool columnar_store = true;
+  /// Checkpoint publications (CTC1 generations, src/store/) are swept too:
+  /// every publication sync boundary, sampled stale-rename points (a
+  /// publication rename reverted by the crash), and sampled mapped-region
+  /// bit rot — the recovered state must always be some published
+  /// generation (or a lower rung), never a half-published or
+  /// silently-corrupt one.
   std::size_t stale_rename_samples = 3;
   std::size_t mapped_rot_samples = 3;
   std::size_t pairs_per_check = 24;
@@ -74,10 +72,9 @@ struct CrashSweepReport {
   std::uint64_t migrations_rolled_back = 0;  ///< recording-pass rollbacks
   std::size_t generations_published = 0;  ///< CTC1 images the recording cut
   /// Which recovery-ladder rung each crash point landed on (their sum is
-  /// crash_points when the columnar store is on).
-  std::size_t ladder_mapped = 0;    ///< a CTC1 generation + WAL tail
-  std::size_t ladder_snapshot = 0;  ///< the CTS1 checkpoint rung
-  std::size_t ladder_wal = 0;       ///< full WAL replay or scratch
+  /// crash_points).
+  std::size_t ladder_mapped = 0;  ///< a CTC1 generation + WAL tail
+  std::size_t ladder_wal = 0;     ///< full WAL replay or scratch
   /// Columnar candidates loudly rejected across all crash points (checksum,
   /// structural, name-mismatch, position, replay causes) plus quarantined
   /// half-published tmps — the zero-silent-corruption ledger.

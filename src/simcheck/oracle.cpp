@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <future>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -22,9 +21,10 @@
 #include "monitor/queries.hpp"
 #include "monitor/query_broker.hpp"
 #include "recluster/coordinator.hpp"
+#include "store/format.hpp"
+#include "store/snapshot_store.hpp"
 #include "timestamp/ondemand_fm.hpp"
 #include "timestamp/tree_clock_store.hpp"
-#include "trace/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -498,9 +498,8 @@ SimReport run_schedule(const SimSchedule& schedule,
         }
         case SimOp::Kind::kCheckpointRestore: {
           const std::uint64_t before = monitor->state_digest();
-          std::stringstream buffer;
-          save_snapshot(buffer, *monitor);
-          auto restored = load_snapshot(buffer);
+          auto restored =
+              ColumnarRestorer::restore(encode_columnar(*monitor, 0));
           if (restored->state_digest() != before) {
             diverge(i, "snapshot",
                     "state digest moved across save/load round-trip");

@@ -13,7 +13,7 @@ namespace {
 // The column segments are raw little-endian u32 arrays written/read with
 // memcpy; the mapped read path aliases them in place. Both are gated on a
 // little-endian host — the one portability concession the zero-copy design
-// makes (the CTS1 varint format stays portable).
+// makes (the varint-encoded footer and WAL stay portable).
 static_assert(std::endian::native == std::endian::little,
               "CTC1 columnar images require a little-endian host");
 static_assert(sizeof(EventIndex) == 4 && sizeof(ProcessId) == 4,
@@ -278,9 +278,9 @@ std::string encode_columnar(const MonitoringEntity& monitor,
   put_varint(footer, arena.covered_sets);
   put_varint(footer, block_bytes);
 
-  // Options block, CTS1 v3 layout (trace/snapshot.cpp): the restored
-  // monitor must be constructed with the same configuration — including the
-  // committed re-clustering baseline — before any event is replayed.
+  // Options block: the restored monitor must be constructed with the same
+  // configuration — including the committed re-clustering baseline —
+  // before any event is replayed.
   const MonitorOptions& options = monitor.options();
   footer.push_back(static_cast<char>(options.backend));
   put_u64_le(footer, std::bit_cast<std::uint64_t>(options.nth_threshold));
@@ -296,7 +296,9 @@ std::string encode_columnar(const MonitoringEntity& monitor,
     for (const ProcessId p : members) put_varint(footer, p);
   }
 
-  // Restored-state health adjustment, exactly as CTS1 saves it.
+  // Restored-state health adjustment (docs/FAULT_MODEL.md §5): records
+  // still buffered or quarantined are not captured, so their ingestion is
+  // uncounted after restore.
   MonitorHealth health = monitor.health();
   health.ingested -= health.pending + health.quarantined;
   health.pending = 0;

@@ -1,4 +1,5 @@
-// CTC1 — the on-disk columnar snapshot format of the out-of-core store.
+// CTC1 — the one on-disk checkpoint format: the columnar snapshot of the
+// out-of-core store.
 //
 // A CTC1 object persists everything a restarted monitor OR a read-only
 // mapped server needs, as fixed-width little-endian column segments (the
@@ -18,8 +19,9 @@
 //     cs_sizes / cs_procs — the interned covered sets.
 //   footer manifest (varint body):
 //     generation, covered WAL position, monitor options + health + state
-//     digest (the CTS1 restore contract), and a column table carrying per-
-//     column FNV-1a digests and block-level CRC32C checksums.
+//     digest (the restore contract, docs/FAULT_MODEL.md §5), and a column
+//     table carrying per-column FNV-1a digests and block-level CRC32C
+//     checksums.
 //   16-byte trailer: u64le footer_offset | u32le crc32c(footer) | "CT1E"
 //
 // The trailer lets a reader locate the footer from the end of the file; the
@@ -107,7 +109,7 @@ struct ColumnarManifest {
   std::uint64_t covered_set_count = 0;
   std::uint64_t block_bytes = 0;
   MonitorOptions options;
-  /// Saved with the CTS1 restored-state adjustment already applied
+  /// Saved with the restored-state adjustment already applied
   /// (pending/quarantined dropped from ingested, then zeroed).
   MonitorHealth health;
   std::uint64_t state_digest = 0;

@@ -1,5 +1,6 @@
 #include "store/recovery_ladder.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "durability/wal.hpp"
@@ -14,33 +15,11 @@ const char* to_string(RecoveryRung rung) {
   switch (rung) {
     case RecoveryRung::kMapped: return "mapped";
     case RecoveryRung::kMappedPrior: return "mapped-prior";
-    case RecoveryRung::kSnapshot: return "snapshot";
     case RecoveryRung::kWalReplay: return "wal-replay";
     case RecoveryRung::kScratch: return "scratch";
   }
   return "?";
 }
-
-/// Rebuilds a live monitor from a verified columnar image by replaying the
-/// event columns through the delivered-order restore path — the same seam
-/// CTS1 restore and WAL-tail replay use (MonitoringEntity befriends this).
-struct ColumnarRestorer {
-  static std::unique_ptr<MonitoringEntity> restore(
-      const MappedSnapshot& snap) {
-    const ColumnarManifest& m = snap.manifest();
-    auto monitor = std::make_unique<MonitoringEntity>(
-        static_cast<std::size_t>(m.process_count), m.options);
-    for (std::uint64_t i = 0; i < m.event_count; ++i) {
-      monitor->replay_delivered(snap.event(i));
-    }
-    monitor->finish_restore(m.health);
-    if (monitor->state_digest() != m.state_digest) {
-      throw ChecksumError(
-          "columnar replay diverged from the saved state digest");
-    }
-    return monitor;
-  }
-};
 
 LadderRecovery recover_with_ladder(const StorageBackend& storage,
                                    std::size_t process_count,
@@ -83,8 +62,9 @@ LadderRecovery recover_with_ladder(const StorageBackend& storage,
       continue;
     }
     // Structurally sound and checksum-clean. The durable log must reach the
-    // position the image claims to cover (durability/recovery.hpp explains
-    // why a position gap is fatal).
+    // position the image claims to cover: an image past the log end (a
+    // renamed or foreign object) would make recovery silently skip the
+    // records in between — nothing to replay, nothing to notice.
     const std::uint64_t seq = snap->manifest().wal_position;
     wal::WalScan scan = wal::scan_wal(storage, seq, ns);
     if (scan.segments_scanned > 0 && scan.log_end < seq) {
@@ -112,18 +92,12 @@ LadderRecovery recover_with_ladder(const StorageBackend& storage,
     return out;
   }
 
-  // ---- lower rungs: CTS1 checkpoint → full WAL replay → scratch ----
-  RecoveredMonitor rec =
-      recover_monitor(storage, process_count, options, ns);
-  out.monitor = std::move(rec.monitor);
-  out.report = std::move(rec.report);
-  if (!out.report.snapshot_object.empty()) {
-    out.rung = RecoveryRung::kSnapshot;
-  } else if (out.report.replayed > 0 || out.report.held > 0) {
-    out.rung = RecoveryRung::kWalReplay;
-  } else {
-    out.rung = RecoveryRung::kScratch;
-  }
+  // ---- lower rungs: full WAL replay → scratch ----
+  out.monitor = std::make_unique<MonitoringEntity>(process_count, options);
+  replay_wal_tail(wal::scan_wal(storage, 0, ns), *out.monitor, out.report);
+  out.rung = out.report.replayed > 0 || out.report.held > 0
+                 ? RecoveryRung::kWalReplay
+                 : RecoveryRung::kScratch;
   return out;
 }
 

@@ -1,5 +1,5 @@
 // The recovery ladder: newest columnar snapshot + WAL tail, then every
-// older rung, each one loudly accounted.
+// older rung, each one loudly accounted. It is the one recovery path.
 //
 // recover_with_ladder() tries, in order:
 //
@@ -8,8 +8,7 @@
 //                 agreement, WAL-position reachability, replay of the event
 //                 columns, state-digest agreement — all must pass;
 //   kMappedPrior  the same for each older generation;
-//   kSnapshot     the CTS1 checkpoint path (durability/recovery.hpp);
-//   kWalReplay    full WAL replay from sequence 0;
+//   kWalReplay    full WAL replay from sequence 0 (durability/recovery.hpp);
 //   kScratch      a fresh monitor (nothing durable survived).
 //
 // Every rejected candidate is quarantined, not deleted: the rung that
@@ -38,10 +37,10 @@
 
 namespace ct {
 
+/// Benchmarks report the rung as a number; kMapped stays 0.
 enum class RecoveryRung : std::uint8_t {
-  kMapped,       ///< newest CTC1 columnar generation + WAL tail
+  kMapped = 0,   ///< newest CTC1 columnar generation + WAL tail
   kMappedPrior,  ///< an older CTC1 generation + WAL tail
-  kSnapshot,     ///< CTS1 checkpoint + WAL tail
   kWalReplay,    ///< full WAL replay from scratch
   kScratch,      ///< nothing durable survived
 };
@@ -73,18 +72,23 @@ struct LadderRecovery {
   RecoveryRung rung = RecoveryRung::kScratch;
   /// Generation restored from (kMapped/kMappedPrior rungs only).
   std::uint64_t generation = 0;
-  /// WAL-tail accounting of the rung that won (durability/recovery.hpp);
-  /// for the CTS1 rungs it also carries that path's snapshot rejections.
+  /// WAL-tail accounting of the rung that won (durability/recovery.hpp).
   RecoveryReport report;
   /// Columnar-store accounting, regardless of which rung won.
   SnapshotHealth health;
 };
 
 /// Runs the ladder over `storage`. `process_count` and `options` configure
-/// the monitor only when no usable snapshot of either format exists (a
-/// snapshot carries its own configuration). Storage damage of any kind is
-/// absorbed into the accounting — the ladder only throws on internal
-/// invariant violations (bugs).
+/// the monitor only when no usable generation exists (a generation carries
+/// its own configuration). Storage damage of any kind is absorbed into the
+/// accounting — the ladder only throws on internal invariant violations
+/// (bugs).
+///
+/// `ns` is the namespace to recover (WalOptions::ns): only generations and
+/// segments carrying that prefix are read, so recovering one tenant of a
+/// shared StorageBackend never scans — and is never derailed by — a
+/// sibling tenant's objects, however corrupt those are (the per-tenant
+/// durability bulkhead, verified by tests/wal_namespace_test.cpp).
 LadderRecovery recover_with_ladder(const StorageBackend& storage,
                                    std::size_t process_count,
                                    const MonitorOptions& options,

@@ -1,6 +1,7 @@
 #include "store/snapshot_store.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "store/format.hpp"
 #include "util/check.hpp"
@@ -53,6 +54,55 @@ ColumnarPublishResult publish_columnar(StorageBackend& storage,
   }
   if (removed) storage.sync_dir();
   return out;
+}
+
+ColumnarPublishResult checkpoint(DurableLog& log,
+                                 const MonitoringEntity& monitor,
+                                 ColumnarPublishOptions options) {
+  // Make the covered prefix durable first: the image claims to cover
+  // next_record_seq() records, so those records must survive any crash
+  // after it.
+  log.sync();
+  CT_CHECK_MSG(monitor.delivery_log().size() == log.next_record_seq(),
+               "checkpoint of a monitor this log does not record: "
+                   << monitor.delivery_log().size() << " delivered vs "
+                   << log.next_record_seq() << " logged");
+  CT_CHECK_MSG(options.ns.empty() || options.ns == log.ns(),
+               "checkpoint namespace '" << options.ns
+                                        << "' differs from the log's '"
+                                        << log.ns() << "'");
+  options.ns = log.ns();
+  ColumnarPublishResult out = publish_columnar(
+      log.storage(), monitor, log.next_record_seq(), options);
+  // Every retained generation must still recover with the remaining tail,
+  // so the oldest one bounds the prune.
+  log.prune_through(list_columnar(log.storage(), options.ns).front().first);
+  return out;
+}
+
+std::unique_ptr<MonitoringEntity> ColumnarRestorer::restore(
+    const MappedSnapshot& snap) {
+  const ColumnarManifest& m = snap.manifest();
+  auto monitor = std::make_unique<MonitoringEntity>(
+      static_cast<std::size_t>(m.process_count), m.options);
+  for (std::uint64_t i = 0; i < m.event_count; ++i) {
+    monitor->replay_delivered(snap.event(i));
+  }
+  monitor->finish_restore(m.health);
+  if (monitor->state_digest() != m.state_digest) {
+    throw ChecksumError(
+        "columnar replay diverged from the saved state digest");
+  }
+  return monitor;
+}
+
+std::unique_ptr<MonitoringEntity> ColumnarRestorer::restore(
+    std::string image) {
+  const MappedSnapshot snap(ColdBytes::from_string(std::move(image)));
+  snap.verify_blocks();
+  snap.verify_digests();
+  snap.verify_structure();
+  return restore(snap);
 }
 
 std::vector<std::pair<std::uint64_t, std::string>> list_columnar(

@@ -1,4 +1,5 @@
-// Atomic, generation-numbered publication of CTC1 columnar snapshots.
+// Atomic, generation-numbered publication of CTC1 columnar snapshots, the
+// checkpoint built on it, and the in-memory restore.
 //
 // A publication is the classic atomic-rename protocol, expressed in
 // StorageBackend primitives so SimulatedStorage::materialize can crash it at
@@ -18,16 +19,24 @@
 // directory entry may revert to the tmp name, which is exactly the previous
 // state. The footer embeds the generation, so even a hand-renamed object
 // cannot impersonate another generation (name-mismatch rejection).
+//
+// checkpoint() is the durability layer's snapshot: it publishes at
+// generation = the log's next record sequence (the WAL position the image
+// covers), so the oldest retained generation's NAME is the bound below
+// which WAL segments may be pruned.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "durability/storage.hpp"
+#include "durability/wal.hpp"
 #include "monitor/monitor.hpp"
+#include "store/mapped_view.hpp"
 
 namespace ct {
 
@@ -55,6 +64,31 @@ ColumnarPublishResult publish_columnar(StorageBackend& storage,
                                        std::uint64_t generation,
                                        const ColumnarPublishOptions& options =
                                            {});
+
+/// Checkpoints `monitor` (which must be the monitor `log` records for):
+///   1. log.sync() — the covered prefix must survive any later crash;
+///   2. checks the monitor's delivered count equals the log position;
+///   3. publish_columnar at generation log.next_record_seq(), in the log's
+///      namespace (`options.ns` must be empty or equal to it);
+///   4. log.prune_through(oldest retained generation).
+ColumnarPublishResult checkpoint(DurableLog& log,
+                                 const MonitoringEntity& monitor,
+                                 ColumnarPublishOptions options = {});
+
+/// Rebuilds live monitors from CTC1 images by replaying the event columns
+/// through the delivered-order restore path — the same seam WAL-tail replay
+/// uses (MonitoringEntity befriends this).
+struct ColumnarRestorer {
+  /// Restores from an image the caller has already verified. Throws
+  /// ChecksumError if the rebuilt state's digest diverges from the saved
+  /// one, CheckFailure if replay itself fails.
+  static std::unique_ptr<MonitoringEntity> restore(const MappedSnapshot& snap);
+
+  /// The in-memory restore: opens `image`, runs every verification tier
+  /// (blocks, digests, structure), then restores. Throws ChecksumError /
+  /// CheckFailure on any rejection.
+  static std::unique_ptr<MonitoringEntity> restore(std::string image);
+};
 
 /// Published generations of `ns` in `storage`, ascending by generation.
 std::vector<std::pair<std::uint64_t, std::string>> list_columnar(

@@ -2,9 +2,9 @@
 //
 // The WAL (src/durability/wal.hpp) frames every record with a CRC32C so a
 // torn, short, or bit-rotted write is detected at recovery instead of
-// replayed into the monitor; the CTS1 snapshot appends a whole-file CRC32C
-// trailer, and the CTC1 columnar store (src/store/format.hpp) checksums
-// every block of every column segment for the same reason.
+// replayed into the monitor; the CTC1 checkpoint format
+// (src/store/format.hpp) checksums its footer and every block of every
+// column segment for the same reason.
 //
 // Two tiers, same wire format. Short inputs (WAL frames — fsync-bound
 // anyway) use the compile-time byte table inline. Longer inputs route

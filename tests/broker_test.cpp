@@ -1000,6 +1000,11 @@ TEST(EpochPublication, BrokerAnswersStayExactDuringRebuildStorm) {
       }
     }
   });
+  // Queries must overlap the storm: on a loaded host they could otherwise
+  // all finish before the storm thread is first scheduled.
+  while (rebuilds.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   struct Submitted {
     EventId e = kNoEvent, f = kNoEvent;           // precedence

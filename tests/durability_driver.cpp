@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     std::uint64_t total_checks = 0, total_lost = 0;
     std::uint64_t migrations = 0, rollbacks = 0;
     std::size_t generations = 0, quarantined = 0;
-    std::size_t rung_mapped = 0, rung_snapshot = 0, rung_wal = 0;
+    std::size_t rung_mapped = 0, rung_wal = 0;
     for (std::size_t i = 0; i < schedules; ++i) {
       if (budget > 0.0 && elapsed() > budget) break;
       const std::uint64_t schedule_seed = params.seed + i;
@@ -121,13 +121,12 @@ int main(int argc, char** argv) {
       generations += report.generations_published;
       quarantined += report.snapshots_quarantined;
       rung_mapped += report.ladder_mapped;
-      rung_snapshot += report.ladder_snapshot;
       rung_wal += report.ladder_wal;
       if (verbose) {
         std::printf(
             "schedule %llu (%s): %zu crash points (%zu sync, %zu torn), "
             "%llu lost, %llu migrations (+%llu rolled back), "
-            "%zu generations, rungs %zu/%zu/%zu, %zu quarantined, "
+            "%zu generations, rungs %zu/%zu, %zu quarantined, "
             "%llu checks\n",
             static_cast<unsigned long long>(schedule_seed),
             schedule.name.c_str(), report.crash_points,
@@ -136,7 +135,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(report.migrations_committed),
             static_cast<unsigned long long>(report.migrations_rolled_back),
             report.generations_published, report.ladder_mapped,
-            report.ladder_snapshot, report.ladder_wal,
+            report.ladder_wal,
             report.snapshots_quarantined,
             static_cast<unsigned long long>(report.checks));
       }
@@ -175,14 +174,14 @@ int main(int argc, char** argv) {
         "durability OK: %zu schedules, %zu crash points "
         "(%zu sync boundaries, %zu mid-record), %llu records lost+accounted, "
         "%llu migrations committed (%llu rolled back), "
-        "%zu generations published, ladder rungs mapped/snapshot/wal "
-        "%zu/%zu/%zu, %zu snapshots quarantined, %llu checks, %.1fs "
+        "%zu generations published, ladder rungs mapped/wal "
+        "%zu/%zu, %zu snapshots quarantined, %llu checks, %.1fs "
         "[policy %s]\n",
         ran, points, sync_points, torn_points,
         static_cast<unsigned long long>(total_lost),
         static_cast<unsigned long long>(migrations),
         static_cast<unsigned long long>(rollbacks), generations, rung_mapped,
-        rung_snapshot, rung_wal, quarantined,
+        rung_wal, quarantined,
         static_cast<unsigned long long>(total_checks), elapsed(),
         to_string(params.policy));
     return 0;

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "model/event.hpp"
@@ -17,6 +16,9 @@
 #include "simcheck/crash_sweep.hpp"
 #include "simcheck/generator.hpp"
 #include "simcheck/schedule.hpp"
+#include "store/format.hpp"
+#include "store/recovery_ladder.hpp"
+#include "store/snapshot_store.hpp"
 #include "util/check.hpp"
 
 namespace ct {
@@ -213,7 +215,7 @@ std::uint64_t record_stream(const std::vector<Event>& stream,
   for (const Event& e : stream) {
     monitor.ingest(e);
     if (checkpoint_every != 0 && ++fed % checkpoint_every == 0) {
-      log.checkpoint(monitor);
+      checkpoint(log, monitor);
     }
   }
   log.sync();
@@ -229,7 +231,7 @@ TEST(Wal, CleanRecoveryIsBitIdentical) {
   const std::uint64_t want = record_stream(stream, 4, sim, wo);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
   EXPECT_EQ(rec.report.recovered_seq, stream.size());
   EXPECT_EQ(rec.monitor->state_digest(), want);
@@ -253,7 +255,7 @@ TEST(Wal, LostSuffixRecoversTheSyncedPrefixExactly) {
 
   const auto img =
       sim.materialize({sim.op_count(), CrashFault::kLostSuffix, 3});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_EQ(rec.report.recovered_seq, synced);
   rec.monitor->note_wal_loss(total - rec.report.recovered_seq);
   EXPECT_EQ(rec.monitor->health().wal_lost, total - synced);
@@ -274,8 +276,9 @@ TEST(Wal, EveryRecordPolicyLosesAtMostTheInFlightRecord) {
   for (const std::size_t cut : sim.append_points()) {
     const auto img = sim.materialize({cut, CrashFault::kLostSuffix, 1});
     const auto perfect = sim.materialize({cut, CrashFault::kClean, 0});
-    const RecoveredMonitor got = recover_monitor(*img, 3, options_for(3));
-    const RecoveredMonitor want = recover_monitor(*perfect, 3, options_for(3));
+    const LadderRecovery got = recover_with_ladder(*img, 3, options_for(3));
+    const LadderRecovery want =
+        recover_with_ladder(*perfect, 3, options_for(3));
     EXPECT_LE(want.report.recovered_seq - got.report.recovered_seq, 1u)
         << "cut " << cut;
   }
@@ -291,7 +294,7 @@ TEST(Wal, TornFrameTruncatesAtFirstInvalidFrame) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto img =
         sim.materialize({sim.op_count() - 1, CrashFault::kTornWrite, seed});
-    const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+    const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
     EXPECT_TRUE(rec.monitor->health().accounted());
     EXPECT_LE(rec.report.recovered_seq, stream.size());
     saw_truncation = saw_truncation || rec.report.truncated;
@@ -317,7 +320,7 @@ TEST(Wal, BitRotIsDetectedAndTruncated) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const auto img =
         sim.materialize({sim.op_count(), CrashFault::kBitRot, seed});
-    const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+    const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
     EXPECT_TRUE(rec.monitor->health().accounted());
     EXPECT_TRUE(rec.report.truncated) << "seed " << seed;
   }
@@ -338,7 +341,7 @@ TEST(Wal, RotationChainsSegmentsAndRecoversAcrossThem) {
   EXPECT_GT(segments, 3u);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
   EXPECT_EQ(rec.monitor->state_digest(), want);
   EXPECT_EQ(rec.report.segments_scanned, segments);
@@ -360,7 +363,7 @@ TEST(Wal, MissingMiddleSegmentStopsPrefixConsistent) {
   sim.remove(segments[1]);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_TRUE(rec.report.truncated);
   EXPECT_NE(rec.report.truncate_detail.find("gap"), std::string::npos)
       << rec.report.truncate_detail;
@@ -395,7 +398,7 @@ TEST(Wal, EmptySegmentFromCrashBeforeItsHeaderIsSkipped) {
   ASSERT_EQ(sim.journal()[create_at + 1].kind,
             SimulatedStorage::OpKind::kSyncDir);
   auto img = sim.materialize({create_at + 2, CrashFault::kClean, 0});
-  RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
   EXPECT_GT(rec.report.recovered_seq, 0u);
 
@@ -406,7 +409,7 @@ TEST(Wal, EmptySegmentFromCrashBeforeItsHeaderIsSkipped) {
     log.sync();
   }
   const auto img2 = img->materialize({img->op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec2 = recover_monitor(*img2, 4, options_for(4));
+  const LadderRecovery rec2 = recover_with_ladder(*img2, 4, options_for(4));
   EXPECT_FALSE(rec2.report.truncated) << rec2.report.truncate_detail;
   EXPECT_EQ(rec2.monitor->state_digest(), want);
 }
@@ -417,25 +420,27 @@ TEST(Wal, CheckpointPrunesCoveredSegmentsAndStaleSnapshots) {
   WalOptions wo;
   wo.policy = SyncPolicy::kOnCheckpoint;
   wo.segment_bytes = 256;
-  wo.retain_checkpoints = 2;
   const std::uint64_t want = record_stream(stream, 4, sim, wo, 50);
 
-  std::size_t snapshots = 0, segments = 0;
+  // The default retention window keeps the two newest generations, each
+  // named after the WAL position it covers.
+  const auto generations = list_columnar(sim);
+  ASSERT_EQ(generations.size(), 2u);
+  EXPECT_EQ(generations[1].first - generations[0].first, 50u);
+  std::size_t segments = 0;
   for (const std::string& name : sim.list()) {
-    snapshots += wal::parse_snapshot_name(name).has_value();
     segments += wal::parse_segment_name(name).has_value();
   }
-  EXPECT_LE(snapshots, 2u);
-  EXPECT_GE(snapshots, 1u);
   // Pruning must have removed fully covered segments: far fewer on disk
   // than the rotation count implies.
   EXPECT_LT(segments, 12u);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
+  EXPECT_EQ(rec.rung, RecoveryRung::kMapped) << to_string(rec.rung);
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
-  EXPECT_FALSE(rec.report.snapshot_object.empty());
-  EXPECT_GT(rec.report.snapshot_seq, 0u);
+  EXPECT_EQ(rec.report.snapshot_object, generations[1].second);
+  EXPECT_EQ(rec.report.snapshot_seq, generations[1].first);
   EXPECT_EQ(rec.monitor->state_digest(), want);
 }
 
@@ -445,26 +450,41 @@ TEST(Wal, CorruptSnapshotFallsBackToOlderOrScratch) {
   WalOptions wo;
   wo.policy = SyncPolicy::kEveryN;
   wo.sync_every = 4;
-  wo.retain_checkpoints = 2;
+  wo.segment_bytes = 256;  // rotate, so checkpoints have segments to prune
   const std::uint64_t want = record_stream(stream, 4, sim, wo, 40);
 
-  // Mangle the newest snapshot: its CRC trailer must reject it whole.
-  std::string newest;
-  for (const std::string& name : sim.list()) {
-    if (wal::parse_snapshot_name(name)) newest = name;  // list is sorted
-  }
-  ASSERT_FALSE(newest.empty());
-  const std::string data = sim.read(newest);
+  // Flip a byte of the newest generation's event columns: the block CRCs
+  // must reject it whole, and the older generation plus the WAL tail (never
+  // pruned past the oldest retained generation) must recover exactly.
+  const auto generations = list_columnar(sim);
+  ASSERT_EQ(generations.size(), 2u);
+  const std::string newest = generations.back().second;
+  std::string bytes = sim.read(newest);
+  const ColumnarManifest manifest = parse_columnar_manifest(bytes);
+  const ColumnInfo* column = manifest.column(ColumnId::kEvIndex);
+  ASSERT_NE(column, nullptr);
+  bytes[static_cast<std::size_t>(column->offset)] ^= 0x10;
   sim.remove(newest);
   sim.create(newest);
-  std::string mangled = data;
-  mangled[mangled.size() / 2] ^= 0x10;
-  sim.append(newest, mangled);
+  sim.append(newest, bytes);
 
   const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec = recover_monitor(*img, 4, options_for(4));
-  EXPECT_EQ(rec.report.snapshots_rejected, 1u);
+  const LadderRecovery rec = recover_with_ladder(*img, 4, options_for(4));
+  EXPECT_EQ(rec.rung, RecoveryRung::kMappedPrior) << to_string(rec.rung);
+  EXPECT_EQ(rec.health.rejected_checksum, 1u);
+  EXPECT_EQ(rec.generation, generations.front().first);
   EXPECT_EQ(rec.monitor->state_digest(), want);
+
+  // With the older generation gone too, the pruned log cannot be replayed
+  // from the start: recovery stops at the gap and lands on scratch —
+  // prefix-consistent, never a resynthesized order.
+  sim.remove(generations.front().second);
+  const auto bare = sim.materialize({sim.op_count(), CrashFault::kClean, 0});
+  const LadderRecovery scratch = recover_with_ladder(*bare, 4, options_for(4));
+  EXPECT_EQ(scratch.rung, RecoveryRung::kScratch) << to_string(scratch.rung);
+  EXPECT_TRUE(scratch.report.truncated);
+  EXPECT_EQ(scratch.monitor->delivery_log().size(), 0u);
+  EXPECT_TRUE(scratch.monitor->health().accounted());
 }
 
 TEST(Wal, FileStorageRoundTripsOnRealFiles) {
@@ -480,9 +500,10 @@ TEST(Wal, FileStorageRoundTripsOnRealFiles) {
   DurableLog log(files, wo);
   monitor.set_delivery_tap([&log](const Event& e) { log.append(e); });
   for (const Event& e : stream) monitor.ingest(e);
-  log.checkpoint(monitor);
+  checkpoint(log, monitor);
 
-  const RecoveredMonitor rec = recover_monitor(files, 3, options_for(3));
+  const LadderRecovery rec = recover_with_ladder(files, 3, options_for(3));
+  EXPECT_EQ(rec.rung, RecoveryRung::kMapped) << to_string(rec.rung);
   EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
   EXPECT_EQ(rec.monitor->state_digest(), monitor.state_digest());
   for (const std::string& name : files.list()) files.remove(name);
@@ -540,7 +561,7 @@ TEST(Recovery, RefeedingTheOverlappingTailConvergesAcrossStrategies) {
     }
     const auto img =
         sim.materialize({sim.op_count(), CrashFault::kLostSuffix, 9});
-    RecoveredMonitor rec = recover_monitor(*img, pc, s.options);
+    LadderRecovery rec = recover_with_ladder(*img, pc, s.options);
     EXPECT_TRUE(rec.monitor->health().accounted());
 
     // Re-feed with overlap: from well before the crash point through the
@@ -572,7 +593,7 @@ TEST(Recovery, RecoverRefeedRecoverIsIdempotent) {
   }
   // First crash + recovery, resume logging, feed the rest, crash again.
   auto img1 = sim.materialize({sim.op_count(), CrashFault::kLostSuffix, 1});
-  RecoveredMonitor rec1 = recover_monitor(*img1, 5, options_for(5));
+  LadderRecovery rec1 = recover_with_ladder(*img1, 5, options_for(5));
   {
     DurableLog log(*img1, wo, rec1.report.recovered_seq);
     rec1.monitor->set_delivery_tap(
@@ -584,7 +605,7 @@ TEST(Recovery, RecoverRefeedRecoverIsIdempotent) {
   }
   const auto img2 =
       img1->materialize({img1->op_count(), CrashFault::kClean, 0});
-  const RecoveredMonitor rec2 = recover_monitor(*img2, 5, options_for(5));
+  const LadderRecovery rec2 = recover_with_ladder(*img2, 5, options_for(5));
   EXPECT_FALSE(rec2.report.truncated) << rec2.report.truncate_detail;
 
   MonitoringEntity reference(5, options_for(5));

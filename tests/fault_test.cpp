@@ -1,11 +1,9 @@
 // Fault-tolerant ingestion tests (docs/FAULT_MODEL.md): the seeded fault
 // injector, quarantine/eviction accounting under drop/dup/reorder/corrupt
-// faults on every trace family of the standard suite, and checkpoint/
-// restore round-trips through the CTS1 snapshot format.
+// faults on every trace family of the standard suite. Checkpoint/restore
+// round trips live in store_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,7 +12,6 @@
 #include "monitor/monitor.hpp"
 #include "timestamp/fm_store.hpp"
 #include "trace/generators.hpp"
-#include "trace/snapshot.hpp"
 #include "trace/suite.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -207,209 +204,6 @@ TEST(FaultTolerance, CorruptionWithBoundedBufferStaysAccounted) {
     ASSERT_GT(health.rejected + health.quarantined + health.evicted, 0u)
         << id;
   }
-}
-
-// ------------------------------------------------------ checkpoint/restore
-
-void round_trip_backend(TimestampBackend backend) {
-  const Trace t = suite_entry("java/pubsub-84").make();
-  const auto arrival = interleave(t, 31);
-  const std::size_t cut = arrival.size() * 3 / 5;
-
-  MonitorOptions options;
-  options.backend = backend;
-  options.cluster.max_cluster_size = 8;
-  options.cluster.fm_vector_width = 300;
-  MonitoringEntity original(t.process_count(), options);
-  for (std::size_t i = 0; i < cut; ++i) original.ingest(arrival[i]);
-  ASSERT_GT(original.pending(), 0u)
-      << "cut landed on a quiescent point; pick another seed";
-
-  std::ostringstream os;
-  save_snapshot(os, original);
-  std::istringstream is(os.str());
-  auto restored = load_snapshot(is);
-  ASSERT_EQ(restored->stored(), original.stored());
-  ASSERT_EQ(restored->state_digest(), original.state_digest());
-  ASSERT_EQ(restored->timestamp_words(), original.timestamp_words());
-
-  // Buffered-at-cut records are not in the snapshot: replay the stream with
-  // overlap — already-delivered records drop as duplicates — then the tail.
-  for (std::size_t i = 0; i < cut; ++i) restored->ingest(arrival[i]);
-  for (std::size_t i = cut; i < arrival.size(); ++i) {
-    original.ingest(arrival[i]);
-    restored->ingest(arrival[i]);
-  }
-  ASSERT_EQ(original.stored(), t.event_count());
-  ASSERT_EQ(restored->stored(), t.event_count());
-  ASSERT_GT(restored->health().duplicates, 0u);
-  ASSERT_TRUE(restored->health().accounted());
-
-  // Identical precedence answers and identical storage accounting.
-  ASSERT_EQ(restored->state_digest(), original.state_digest());
-  ASSERT_EQ(restored->timestamp_words(), original.timestamp_words());
-  Prng rng(37);
-  const auto order = t.delivery_order();
-  for (int q = 0; q < 4000; ++q) {
-    const EventId e = order[rng.index(order.size())];
-    const EventId f = order[rng.index(order.size())];
-    ASSERT_EQ(restored->precedes(e, f), original.precedes(e, f))
-        << e << " vs " << f;
-  }
-}
-
-TEST(Snapshot, RoundTripMidStreamClusterBackend) {
-  round_trip_backend(TimestampBackend::kClusterDynamic);
-}
-
-TEST(Snapshot, RoundTripMidStreamFmBackend) {
-  round_trip_backend(TimestampBackend::kPrecomputedFm);
-}
-
-TEST(Snapshot, FileRoundTripAndPathInErrors) {
-  const Trace t = suite_entry("ctl/local-60-tight").make();
-  MonitorOptions options;
-  options.cluster.max_cluster_size = 6;
-  options.cluster.fm_vector_width = 300;
-  MonitoringEntity monitor(t.process_count(), options);
-  for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
-
-  const std::string path = "fault_test_snapshot.cts";
-  save_snapshot(path, monitor);
-  auto restored = load_snapshot(path);
-  EXPECT_EQ(restored->state_digest(), monitor.state_digest());
-  std::remove(path.c_str());
-
-  try {
-    (void)load_snapshot("does-not-exist.cts");
-    FAIL() << "expected CheckFailure";
-  } catch (const CheckFailure& f) {
-    EXPECT_NE(std::string(f.what()).find("does-not-exist.cts"),
-              std::string::npos);
-  }
-}
-
-TEST(Snapshot, CorruptSnapshotsAreRejectedNotCrashing) {
-  const Trace t = suite_entry("ctl/local-60-tight").make();
-  MonitorOptions options;
-  options.cluster.max_cluster_size = 6;
-  options.cluster.fm_vector_width = 300;
-  MonitoringEntity monitor(t.process_count(), options);
-  for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
-
-  std::ostringstream os;
-  save_snapshot(os, monitor);
-  const std::string good = os.str();
-
-  // Bad magic and unsupported version.
-  for (const std::size_t at : {std::size_t{0}, std::size_t{4}}) {
-    std::string bad = good;
-    bad[at] = static_cast<char>(bad[at] + 1);
-    std::istringstream in(bad);
-    EXPECT_THROW((void)load_snapshot(in), CheckFailure);
-  }
-  // Random mutations: restore either succeeds bit-identically (mutation in
-  // a dead byte is impossible here — digest covers the state) or throws.
-  Prng rng(71);
-  std::size_t rejected = 0;
-  for (int round = 0; round < 60; ++round) {
-    std::string bad = good;
-    const std::size_t at = 5 + rng.index(bad.size() - 5);
-    bad[at] = static_cast<char>(rng.uniform(0, 255));
-    if (bad == good) continue;
-    std::istringstream in(bad);
-    try {
-      auto restored = load_snapshot(in);
-      EXPECT_EQ(restored->state_digest(), monitor.state_digest());
-    } catch (const CheckFailure&) {
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 20u);
-  // Truncations.
-  for (const double frac : {0.1, 0.5, 0.9}) {
-    std::istringstream in(good.substr(
-        0, static_cast<std::size_t>(static_cast<double>(good.size()) * frac)));
-    EXPECT_THROW((void)load_snapshot(in), CheckFailure);
-  }
-}
-
-// Exhaustive truncation sweep: a CTS1 snapshot cut at *any* byte boundary
-// must be rejected with a CheckFailure — never crash, hang, or silently
-// restore a partial monitor.
-TEST(Snapshot, EveryTruncationLengthIsRejected) {
-  // A small computation keeps the exhaustive O(bytes²) sweep fast.
-  const Trace t = generate_rpc_business({.groups = 1,
-                                         .clients_per_group = 2,
-                                         .servers_per_group = 1,
-                                         .calls = 12,
-                                         .seed = 9});
-  MonitorOptions options;
-  options.cluster.max_cluster_size = 2;
-  options.cluster.fm_vector_width = 8;
-  MonitoringEntity monitor(t.process_count(), options);
-  for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
-
-  std::ostringstream os;
-  save_snapshot(os, monitor);
-  const std::string good = os.str();
-  ASSERT_GT(good.size(), 16u);
-
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    std::istringstream in(good.substr(0, len));
-    try {
-      (void)load_snapshot(in);
-      FAIL() << "truncation to " << len << " of " << good.size()
-             << " bytes restored successfully";
-    } catch (const CheckFailure&) {
-      // Expected: a clear, typed rejection.
-    }
-  }
-  // The untruncated snapshot still restores.
-  std::istringstream in(good);
-  EXPECT_EQ(load_snapshot(in)->state_digest(), monitor.state_digest());
-}
-
-// Multi-byte corruption: clusters of flipped bytes (as from a torn or
-// bit-rotted block) are either rejected or provably harmless — a restore
-// that succeeds must be digest-identical to the original. Never a crash,
-// never a silently different monitor.
-TEST(Snapshot, MultiByteCorruptionNeverSilentlyAccepted) {
-  const Trace t = suite_entry("dce/chain-50").make();
-  MonitorOptions options;
-  options.cluster.max_cluster_size = 6;
-  options.cluster.fm_vector_width = 300;
-  MonitoringEntity monitor(t.process_count(), options);
-  for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
-
-  std::ostringstream os;
-  save_snapshot(os, monitor);
-  const std::string good = os.str();
-
-  Prng rng(113);
-  std::size_t rejected = 0;
-  for (int round = 0; round < 80; ++round) {
-    std::string bad = good;
-    const std::size_t burst = 2 + rng.index(15);  // 2..16 corrupted bytes
-    const bool contiguous = round % 2 == 0;
-    std::size_t at = rng.index(bad.size());
-    for (std::size_t k = 0; k < burst; ++k) {
-      if (!contiguous) at = rng.index(bad.size());
-      bad[at % bad.size()] =
-          static_cast<char>(rng.uniform(0, 255));
-      ++at;
-    }
-    if (bad == good) continue;
-    std::istringstream in(bad);
-    try {
-      auto restored = load_snapshot(in);
-      EXPECT_EQ(restored->state_digest(), monitor.state_digest())
-          << "round " << round << " restored a different monitor";
-    } catch (const CheckFailure&) {
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 40u);
 }
 
 // ------------------------------------------------- accounting property test

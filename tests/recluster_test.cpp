@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "cluster/comm_matrix.hpp"
@@ -23,8 +22,9 @@
 #include "shard/shard_router.hpp"
 #include "simcheck/crash_sweep.hpp"
 #include "simcheck/generator.hpp"
+#include "store/recovery_ladder.hpp"
+#include "store/snapshot_store.hpp"
 #include "timestamp/ondemand_fm.hpp"
-#include "trace/snapshot.hpp"
 #include "util/check.hpp"
 
 namespace ct {
@@ -389,7 +389,7 @@ TEST(Recovery, CommittedMigrationIsReappliedUncommittedDiscarded) {
     log.sync();
 
     const auto img = sim.materialize({sim.op_count(), CrashFault::kClean, 1});
-    RecoveredMonitor rec = recover_monitor(*img, 6, mo);
+    LadderRecovery rec = recover_with_ladder(*img, 6, mo);
     EXPECT_EQ(rec.report.migrations_applied, 1u);
     if (second == MigrationOutcome::kRolledBack) {
       EXPECT_EQ(rec.report.migrations_discarded, 1u);
@@ -426,7 +426,7 @@ TEST(Recovery, CrashBeforeCommitRestoresOldClustering) {
   // as it stood before the cycle's commit sync. Recovery must restore the
   // pre-migration clustering exactly — never a hybrid.
   const auto img = sim.materialize({before_commit, CrashFault::kClean, 1});
-  RecoveredMonitor rec = recover_monitor(*img, 6, mo);
+  LadderRecovery rec = recover_with_ladder(*img, 6, mo);
   EXPECT_EQ(rec.report.migrations_applied, 0u);
   EXPECT_EQ(rec.monitor->migration_epoch(), 0u);
   EXPECT_TRUE(rec.monitor->preset_partition().empty());
@@ -434,23 +434,29 @@ TEST(Recovery, CrashBeforeCommitRestoresOldClustering) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot v3
+// Checkpoints of a migrated monitor
 // ---------------------------------------------------------------------------
 
+// A CTC1 checkpoint bakes the committed migration into its manifest: the
+// ladder restores the migrated clustering without re-applying anything.
 TEST(SnapshotV3, RoundTripsAMigratedMonitor) {
-  MonitoringEntity monitor(6, cluster_options(6, 3, -1.0));
+  const MonitorOptions mo = cluster_options(6, 3, -1.0);
+  SimulatedStorage sim;
+  MonitoringEntity monitor(6, mo);
+  DurableLog log(sim, {});
+  monitor.set_delivery_tap([&log](const Event& e) { log.append(e); });
   ingest_all(monitor, phase_shift_stream());
   MigrationCoordinator coordinator(monitor, eager_config());
+  coordinator.attach_wal(&log);
   ASSERT_EQ(coordinator.run_cycle(), MigrationOutcome::kCommitted);
+  checkpoint(log, monitor);
 
-  std::stringstream buffer;
-  save_snapshot(buffer, monitor);
-  SnapshotMeta meta;
-  auto restored = load_snapshot(buffer, &meta);
-  EXPECT_EQ(meta.version, 3u);
-  EXPECT_EQ(restored->migration_epoch(), monitor.migration_epoch());
-  EXPECT_EQ(restored->preset_partition(), monitor.preset_partition());
-  expect_answer_identity(*restored);
+  const LadderRecovery rec = recover_with_ladder(sim, 6, MonitorOptions{});
+  EXPECT_EQ(rec.rung, RecoveryRung::kMapped) << to_string(rec.rung);
+  EXPECT_EQ(rec.report.migrations_applied, 0u);
+  EXPECT_EQ(rec.monitor->migration_epoch(), monitor.migration_epoch());
+  EXPECT_EQ(rec.monitor->preset_partition(), monitor.preset_partition());
+  expect_answer_identity(*rec.monitor);
 }
 
 // ---------------------------------------------------------------------------
@@ -594,8 +600,8 @@ TEST(ShardMigration, RidesEpochBoundaryAndKeepsAnswersExact) {
   // re-applies it.
   const auto img =
       storage.materialize({storage.op_count(), CrashFault::kClean, 1});
-  RecoveredMonitor rec =
-      recover_monitor(*img, 6, tc.monitor, wal::tenant_namespace(t));
+  LadderRecovery rec =
+      recover_with_ladder(*img, 6, tc.monitor, wal::tenant_namespace(t));
   EXPECT_EQ(rec.monitor->migration_epoch(), 1u);
   EXPECT_EQ(rec.monitor->preset_partition(),
             router.shard_monitor(t, 0).preset_partition());

@@ -10,13 +10,13 @@
 #include <utility>
 #include <vector>
 
-#include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "model/oracle.hpp"
 #include "shard/shard_check.hpp"
 #include "shard/shard_fault.hpp"
 #include "shard/shard_router.hpp"
 #include "simcheck/generator.hpp"
+#include "store/recovery_ladder.hpp"
 #include "trace/generators.hpp"
 #include "util/prng.hpp"
 
@@ -431,9 +431,13 @@ TEST(ShardRouter, PerTenantWalNamespacesRecoverIndependently) {
     MonitorOptions mo;
     mo.cluster.max_cluster_size = 4;
     mo.cluster.fm_vector_width = t.process_count();
-    const RecoveredMonitor rec =
-        recover_monitor(storage, t.process_count(), mo,
-                        wal::tenant_namespace(t_id));
+    const LadderRecovery rec =
+        recover_with_ladder(storage, t.process_count(), mo,
+                            wal::tenant_namespace(t_id));
+    // Tenant a checkpointed (a CTC1 generation); tenant b only synced.
+    EXPECT_EQ(rec.rung, t_id == 0 ? RecoveryRung::kMapped
+                                  : RecoveryRung::kWalReplay)
+        << to_string(rec.rung);
     EXPECT_EQ(rec.monitor->delivery_log().size(),
               t.delivery_order().size());
   }

@@ -3,7 +3,9 @@
 // engine, the atomic-rename publication protocol under stale-rename crashes,
 // the recovery ladder's rung-by-rung behavior and rejection accounting
 // across clustering strategies, exhaustive footer bit-flip detection, the
-// seeded whole-image corruption fuzz, and the columnar crash-sweep smoke.
+// seeded whole-image corruption fuzz, checkpoint round trips through the
+// ladder, exhaustive truncation and multi-byte corruption sweeps, and the
+// columnar crash-sweep smoke.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,8 @@
 #include "store/mapped_view.hpp"
 #include "store/recovery_ladder.hpp"
 #include "store/snapshot_store.hpp"
+#include "trace/generators.hpp"
+#include "trace/suite.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
@@ -261,8 +265,9 @@ struct LadderRig {
   std::uint32_t process_count = 5;
 };
 
-/// Feeds `stream` through a WAL-attached monitor, checkpoints + publishes
-/// mid-stream and at the end (generations 1 and 2).
+/// Feeds `stream` through a WAL-attached monitor and publishes generations
+/// 1 (mid-stream) and 2 (at the end). Plain publications never prune the
+/// WAL, so every rung below the mapped ones stays reachable.
 LadderRig run_rig(const MonitorOptions& options,
                   const std::vector<Event>& stream) {
   LadderRig rig;
@@ -277,7 +282,7 @@ LadderRig run_rig(const MonitorOptions& options,
   for (std::size_t i = 0; i < stream.size(); ++i) {
     rig.reference->ingest(stream[i]);
     if (i == stream.size() / 2) {
-      log.checkpoint(*rig.reference);
+      log.sync();
       publish_columnar(rig.sim, *rig.reference, 1);
     }
   }
@@ -344,7 +349,7 @@ TEST(RecoveryLadder, EveryRungRecoversIdenticallyAcrossStrategies) {
       expect_identical(*rec.monitor, *rig.reference);
     }
 
-    // ---- rung 3: no columnar generations → CTS1 checkpoint ----
+    // ---- rung 3: no columnar generations → full WAL replay ----
     {
       for (const auto& [gen, name] : list_columnar(rig.sim)) {
         (void)gen;
@@ -352,25 +357,12 @@ TEST(RecoveryLadder, EveryRungRecoversIdenticallyAcrossStrategies) {
       }
       const LadderRecovery rec =
           recover_with_ladder(rig.sim, 5, s.options);
-      EXPECT_EQ(rec.rung, RecoveryRung::kSnapshot) << to_string(rec.rung);
+      EXPECT_EQ(rec.rung, RecoveryRung::kWalReplay) << to_string(rec.rung);
       EXPECT_EQ(rec.health.generations_seen, 0u);
       expect_identical(*rec.monitor, *rig.reference);
     }
 
-    // ---- rung 4: no snapshots of either format → full WAL replay ----
-    {
-      for (const std::string& name : rig.sim.list()) {
-        if (wal::parse_snapshot_name(name).has_value()) {
-          rig.sim.remove(name);
-        }
-      }
-      const LadderRecovery rec =
-          recover_with_ladder(rig.sim, 5, s.options);
-      EXPECT_EQ(rec.rung, RecoveryRung::kWalReplay) << to_string(rec.rung);
-      expect_identical(*rec.monitor, *rig.reference);
-    }
-
-    // ---- rung 5: nothing at all → scratch ----
+    // ---- rung 4: nothing at all → scratch ----
     {
       SimulatedStorage empty;
       const LadderRecovery rec = recover_with_ladder(empty, 5, s.options);
@@ -444,28 +436,29 @@ TEST(RecoveryLadder, RejectionCausesAreCountedSeparately) {
 
 TEST(Recovery, WalGapAttestationAcceptsSnapshotAtPrunedLogHead) {
   // After checkpoint pruning, the newest segment may be empty: its header's
-  // first_record_seq attests the log reached the snapshot position, so the
-  // snapshot must NOT be rejected for a position gap.
+  // first_record_seq attests the log reached the checkpoint's position, so
+  // the generation must NOT be rejected for a position gap.
   const std::vector<Event> stream = small_stream(4, 12);
   const MonitorOptions mo = strategies(4)[2].options;
   SimulatedStorage sim;
   WalOptions wo;
   wo.policy = SyncPolicy::kEveryRecord;
   wo.segment_bytes = 512;  // force rotation so pruning has prey
-  wo.retain_checkpoints = 1;
   MonitoringEntity monitor(4, mo);
   DurableLog log(sim, wo);
   monitor.set_delivery_tap([&log](const Event& e) { log.append(e); });
   for (const Event& e : stream) monitor.ingest(e);
-  log.checkpoint(monitor);  // prunes covered segments
-  const RecoveredMonitor rec = recover_monitor(sim, 4, mo);
-  EXPECT_EQ(rec.report.snapshots_rejected_position, 0u);
-  EXPECT_FALSE(rec.report.snapshot_object.empty());
+  ColumnarPublishOptions copts;
+  copts.retain_generations = 1;
+  checkpoint(log, monitor, copts);  // prunes covered segments
+  EXPECT_GT(log.stats().segments_pruned, 0u);
+  const LadderRecovery rec = recover_with_ladder(sim, 4, mo);
+  EXPECT_EQ(rec.health.rejected_position, 0u);
+  EXPECT_EQ(rec.health.total_rejected(), 0u);
+  EXPECT_EQ(rec.rung, RecoveryRung::kMapped) << to_string(rec.rung);
+  EXPECT_EQ(rec.report.snapshot_object,
+            columnar_object_name(stream.size()));
   EXPECT_EQ(rec.monitor->state_digest(), monitor.state_digest());
-  // The cause counters partition the total.
-  EXPECT_EQ(rec.report.snapshots_rejected,
-            rec.report.snapshots_rejected_structural +
-                rec.report.snapshots_rejected_position);
 }
 
 // ---------------------------------------------------------------------------
@@ -564,6 +557,300 @@ TEST(ColumnarCorruption, SeededFuzzEveryFlipDetectedOrAnswerIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Checkpoint round trips through the ladder
+// ---------------------------------------------------------------------------
+
+const SuiteEntry& suite_entry(const std::string& id) {
+  for (const SuiteEntry& entry : standard_suite()) {
+    if (entry.id == id) return entry;
+  }
+  CT_CHECK_MSG(false, "suite entry '" << id << "' not found");
+  return standard_suite().front();
+}
+
+/// Interleaves a trace's per-process streams into one arrival sequence:
+/// per-process FIFO, cross-process schedule shuffled and bursty.
+std::vector<Event> interleave(const Trace& t, std::uint64_t seed) {
+  std::vector<std::vector<Event>> streams(t.process_count());
+  for (const EventId id : t.delivery_order()) {
+    streams[id.process].push_back(t.event(id));
+  }
+  std::vector<std::size_t> cursor(t.process_count(), 0);
+  std::vector<Event> arrival;
+  arrival.reserve(t.event_count());
+  Prng rng(seed);
+  std::size_t remaining = t.event_count();
+  while (remaining > 0) {
+    ProcessId p;
+    do {
+      p = static_cast<ProcessId>(rng.index(t.process_count()));
+    } while (cursor[p] >= streams[p].size());
+    const std::size_t burst = 1 + rng.index(4);
+    for (std::size_t k = 0; k < burst && cursor[p] < streams[p].size(); ++k) {
+      arrival.push_back(streams[p][cursor[p]++]);
+      --remaining;
+    }
+  }
+  return arrival;
+}
+
+/// Checkpoints mid-stream (records still buffered), recovers on the mapped
+/// rung, re-feeds the stream with overlap, and checks the restarted monitor
+/// converges on the original bit for bit.
+void round_trip_backend(TimestampBackend backend) {
+  const Trace t = suite_entry("java/pubsub-84").make();
+  const auto arrival = interleave(t, 31);
+  const std::size_t cut = arrival.size() * 3 / 5;
+
+  MonitorOptions options;
+  options.backend = backend;
+  options.cluster.max_cluster_size = 8;
+  options.cluster.fm_vector_width = 300;
+  MonitoringEntity original(t.process_count(), options);
+  SimulatedStorage sim;
+  {
+    DurableLog log(sim, {});
+    original.set_delivery_tap([&log](const Event& e) { log.append(e); });
+    for (std::size_t i = 0; i < cut; ++i) original.ingest(arrival[i]);
+    checkpoint(log, original);
+    original.set_delivery_tap(nullptr);
+  }
+  ASSERT_GT(original.pending(), 0u)
+      << "cut landed on a quiescent point; pick another seed";
+
+  LadderRecovery rec = recover_with_ladder(sim, t.process_count(), options);
+  ASSERT_EQ(rec.rung, RecoveryRung::kMapped) << to_string(rec.rung);
+  EXPECT_EQ(rec.report.replayed, 0u);
+  MonitoringEntity& restored = *rec.monitor;
+  ASSERT_EQ(restored.stored(), original.stored());
+  ASSERT_EQ(restored.state_digest(), original.state_digest());
+  ASSERT_EQ(restored.timestamp_words(), original.timestamp_words());
+
+  // Buffered-at-cut records are not in the checkpoint: replay the stream
+  // with overlap — already-delivered records drop as duplicates — then the
+  // tail.
+  for (std::size_t i = 0; i < cut; ++i) restored.ingest(arrival[i]);
+  for (std::size_t i = cut; i < arrival.size(); ++i) {
+    original.ingest(arrival[i]);
+    restored.ingest(arrival[i]);
+  }
+  ASSERT_EQ(original.stored(), t.event_count());
+  ASSERT_EQ(restored.stored(), t.event_count());
+  ASSERT_GT(restored.health().duplicates, 0u);
+  ASSERT_TRUE(restored.health().accounted());
+
+  // Identical precedence answers and identical storage accounting.
+  ASSERT_EQ(restored.state_digest(), original.state_digest());
+  ASSERT_EQ(restored.timestamp_words(), original.timestamp_words());
+  Prng rng(37);
+  const auto order = t.delivery_order();
+  for (int q = 0; q < 4000; ++q) {
+    const EventId e = order[rng.index(order.size())];
+    const EventId f = order[rng.index(order.size())];
+    ASSERT_EQ(restored.precedes(e, f), original.precedes(e, f))
+        << e << " vs " << f;
+  }
+}
+
+TEST(Snapshot, RoundTripMidStreamClusterBackend) {
+  round_trip_backend(TimestampBackend::kClusterDynamic);
+}
+
+TEST(Snapshot, RoundTripMidStreamFmBackend) {
+  round_trip_backend(TimestampBackend::kPrecomputedFm);
+}
+
+TEST(Snapshot, FileRoundTripAndPathInErrors) {
+  const Trace t = suite_entry("ctl/local-60-tight").make();
+  MonitorOptions options;
+  options.cluster.max_cluster_size = 6;
+  options.cluster.fm_vector_width = 300;
+  MonitoringEntity monitor(t.process_count(), options);
+  const std::string root =
+      ::testing::TempDir() + "ct_store_checkpoint_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  FileStorage files(root);
+  {
+    DurableLog log(files, {});
+    monitor.set_delivery_tap([&log](const Event& e) { log.append(e); });
+    for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
+    const ColumnarPublishResult r = checkpoint(log, monitor);
+    EXPECT_EQ(r.object, columnar_object_name(t.event_count()));
+    monitor.set_delivery_tap(nullptr);
+  }
+  const LadderRecovery rec =
+      recover_with_ladder(files, t.process_count(), options);
+  EXPECT_EQ(rec.rung, RecoveryRung::kMapped) << to_string(rec.rung);
+  EXPECT_EQ(rec.monitor->state_digest(), monitor.state_digest());
+
+  try {
+    (void)read_cold(files, "does-not-exist.col");
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& f) {
+    EXPECT_NE(std::string(f.what()).find("does-not-exist.col"),
+              std::string::npos);
+  }
+
+  // A damaged generation on disk is rejected under its object name; the
+  // WAL (one unpruned segment here) still recovers the monitor exactly.
+  const std::string name = columnar_object_name(t.event_count());
+  std::string bytes = files.read(name);
+  bytes.back() = static_cast<char>(bytes.back() ^ 1);  // trailer magic
+  files.remove(name);
+  files.create(name);
+  files.append(name, bytes);
+  files.sync(name);
+  const LadderRecovery bad =
+      recover_with_ladder(files, t.process_count(), options);
+  EXPECT_EQ(bad.rung, RecoveryRung::kWalReplay) << to_string(bad.rung);
+  ASSERT_EQ(bad.health.details.size(), 1u);
+  EXPECT_EQ(bad.health.details[0].rfind(name + ": ", 0), 0u)
+      << bad.health.details[0];
+  EXPECT_EQ(bad.monitor->state_digest(), monitor.state_digest());
+  for (const std::string& obj : files.list()) files.remove(obj);
+}
+
+TEST(Snapshot, CorruptSnapshotsAreRejectedNotCrashing) {
+  const Trace t = suite_entry("ctl/local-60-tight").make();
+  MonitorOptions options;
+  options.cluster.max_cluster_size = 6;
+  options.cluster.fm_vector_width = 300;
+  MonitoringEntity monitor(t.process_count(), options);
+  for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
+  const std::string good = encode_columnar(monitor, 1);
+
+  // Bad leading and trailing magic.
+  for (const std::size_t at : {std::size_t{0}, good.size() - 1}) {
+    std::string bad = good;
+    bad[at] = static_cast<char>(bad[at] + 1);
+    EXPECT_THROW((void)ColumnarRestorer::restore(bad), CheckFailure);
+  }
+  // Random mutations: restore either succeeds bit-identically (only pad
+  // bytes escape the checksums) or throws.
+  Prng rng(71);
+  std::size_t rejected = 0;
+  for (int round = 0; round < 60; ++round) {
+    std::string bad = good;
+    const std::size_t at = rng.index(bad.size());
+    bad[at] = static_cast<char>(rng.uniform(0, 255));
+    if (bad == good) continue;
+    try {
+      const auto restored = ColumnarRestorer::restore(bad);
+      EXPECT_EQ(restored->state_digest(), monitor.state_digest());
+    } catch (const CheckFailure&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 20u);
+  // Truncations.
+  for (const double frac : {0.1, 0.5, 0.9}) {
+    EXPECT_THROW((void)ColumnarRestorer::restore(good.substr(
+                     0, static_cast<std::size_t>(
+                            static_cast<double>(good.size()) * frac))),
+                 CheckFailure);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes: every truncation, multi-byte bursts
+// ---------------------------------------------------------------------------
+
+struct HostileImage {
+  const char* name;
+  std::string bytes;
+  std::uint64_t digest = 0;
+};
+
+/// Small checkpoint images, so the exhaustive O(bytes²) truncation sweep
+/// stays fast: one with the cluster backend (arena columns) and one with
+/// precomputed FM (event columns only).
+std::vector<HostileImage> hostile_images() {
+  const Trace t = generate_rpc_business({.groups = 1,
+                                         .clients_per_group = 2,
+                                         .servers_per_group = 1,
+                                         .calls = 12,
+                                         .seed = 9});
+  std::vector<HostileImage> out;
+  for (const TimestampBackend backend :
+       {TimestampBackend::kClusterDynamic, TimestampBackend::kPrecomputedFm}) {
+    MonitorOptions options;
+    options.backend = backend;
+    options.cluster.max_cluster_size = 2;
+    options.cluster.fm_vector_width = 8;
+    MonitoringEntity monitor(t.process_count(), options);
+    for (const EventId id : t.delivery_order()) monitor.ingest(t.event(id));
+    out.push_back({backend == TimestampBackend::kClusterDynamic
+                       ? "cluster"
+                       : "precomputed-fm",
+                   encode_columnar(monitor, 1), monitor.state_digest()});
+  }
+  return out;
+}
+
+/// The ladder over a store holding only `image`, as generation 1.
+LadderRecovery recover_image(const std::string& image) {
+  SimulatedStorage sim;
+  sim.create(columnar_object_name(1));
+  sim.append(columnar_object_name(1), image);
+  return recover_with_ladder(sim, 1, MonitorOptions{});
+}
+
+// A checkpoint cut at *any* byte boundary must be rejected — never crash,
+// hang, or silently restore a partial monitor.
+TEST(Snapshot, EveryTruncationLengthIsRejected) {
+  for (const HostileImage& image : hostile_images()) {
+    SCOPED_TRACE(image.name);
+    ASSERT_GT(image.bytes.size(), kColumnarTrailerBytes);
+    for (std::size_t len = 0; len < image.bytes.size(); ++len) {
+      const std::string cut = image.bytes.substr(0, len);
+      EXPECT_TRUE(detects(cut))
+          << "truncation to " << len << " of " << image.bytes.size()
+          << " bytes passed verification";
+      const LadderRecovery rec = recover_image(cut);
+      EXPECT_NE(rec.rung, RecoveryRung::kMapped) << "truncation to " << len;
+      EXPECT_EQ(rec.health.total_rejected(), 1u) << "truncation to " << len;
+    }
+    // The untruncated image still recovers.
+    const LadderRecovery rec = recover_image(image.bytes);
+    EXPECT_EQ(rec.rung, RecoveryRung::kMapped) << to_string(rec.rung);
+    EXPECT_EQ(rec.monitor->state_digest(), image.digest);
+  }
+}
+
+// Bursts of corrupted bytes (as from a torn or bit-rotted block), contiguous
+// and scattered, are either rejected or provably harmless — a recovery
+// that succeeds must be digest-identical to the original.
+TEST(Snapshot, MultiByteCorruptionNeverSilentlyAccepted) {
+  for (const HostileImage& image : hostile_images()) {
+    SCOPED_TRACE(image.name);
+    const std::string& good = image.bytes;
+    Prng rng(113);
+    std::size_t rejected = 0;
+    for (int round = 0; round < 80; ++round) {
+      std::string bad = good;
+      const std::size_t burst = 2 + rng.index(15);  // 2..16 corrupted bytes
+      const bool contiguous = round % 2 == 0;
+      std::size_t at = rng.index(bad.size());
+      for (std::size_t k = 0; k < burst; ++k) {
+        if (!contiguous) at = rng.index(bad.size());
+        bad[at % bad.size()] = static_cast<char>(rng.uniform(0, 255));
+        ++at;
+      }
+      if (bad == good) continue;
+      const LadderRecovery rec = recover_image(bad);
+      if (rec.rung == RecoveryRung::kMapped) {
+        EXPECT_EQ(rec.monitor->state_digest(), image.digest)
+            << "round " << round << " restored a different monitor";
+      } else {
+        EXPECT_EQ(rec.health.total_rejected(), 1u) << "round " << round;
+        ++rejected;
+      }
+    }
+    EXPECT_GT(rejected, 40u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Columnar crash-sweep smoke
 // ---------------------------------------------------------------------------
 
@@ -585,21 +872,8 @@ TEST(ColumnarSweep, GeneratedSchedulesRecoverOnMappedRungs) {
         << report.divergence->config << "]: " << report.divergence->detail;
     EXPECT_GT(report.generations_published, 0u);
     EXPECT_GT(report.ladder_mapped, 0u);
-    EXPECT_EQ(report.ladder_mapped + report.ladder_snapshot +
-                  report.ladder_wal,
-              report.crash_points);
+    EXPECT_EQ(report.ladder_mapped + report.ladder_wal, report.crash_points);
   }
-}
-
-TEST(ColumnarSweep, TurningTheStoreOffRestoresTheLegacySweep) {
-  CrashSweepParams params;
-  params.columnar_store = false;
-  const SimSchedule schedule = generate_schedule(13);
-  const CrashSweepReport report = run_crash_sweep(schedule, params);
-  ASSERT_TRUE(report.ok())
-      << report.divergence->config << ": " << report.divergence->detail;
-  EXPECT_EQ(report.generations_published, 0u);
-  EXPECT_EQ(report.ladder_mapped, 0u);
 }
 
 // ---------------------------------------------------------------------------

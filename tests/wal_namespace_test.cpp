@@ -9,10 +9,12 @@
 #include <string>
 #include <vector>
 
-#include "durability/recovery.hpp"
 #include "durability/storage.hpp"
 #include "durability/wal.hpp"
 #include "monitor/monitor.hpp"
+#include "store/format.hpp"
+#include "store/recovery_ladder.hpp"
+#include "store/snapshot_store.hpp"
 #include "trace/generators.hpp"
 #include "util/prng.hpp"
 
@@ -135,13 +137,12 @@ void damage_object(SimulatedStorage& storage, const std::string& name,
   storage.sync_dir();
 }
 
-/// Names owned by `ns` (segments and snapshots).
+/// Names owned by `ns` (segments and checkpoint generations).
 std::vector<std::string> tenant_objects(const StorageBackend& storage,
                                         const std::string& ns) {
   std::vector<std::string> out;
   for (const std::string& name : storage.list()) {
-    if (wal::parse_segment_name(name, ns) ||
-        wal::parse_snapshot_name(name, ns)) {
+    if (wal::parse_segment_name(name, ns) || parse_columnar_name(name, ns)) {
       out.push_back(name);
     }
   }
@@ -158,10 +159,9 @@ Baseline solo_baseline(const Trace& tb, const std::string& ns) {
   SimulatedStorage storage;
   LoggedTenant b = start_tenant(storage, tb, ns);
   for (const EventId id : tb.delivery_order()) b.monitor->ingest(tb.event(id));
-  b.log->checkpoint(*b.monitor);
-  b.log->sync();
-  const RecoveredMonitor rec =
-      recover_monitor(storage, tb.process_count(), tenant_options(tb), ns);
+  checkpoint(*b.log, *b.monitor);
+  const LadderRecovery rec =
+      recover_with_ladder(storage, tb.process_count(), tenant_options(tb), ns);
   Baseline out;
   const auto log = rec.monitor->delivery_log();
   out.delivery.assign(log.begin(), log.end());
@@ -187,9 +187,15 @@ TEST(WalNamespace, GrammarPartitionsSharedStorage) {
   EXPECT_FALSE(wal::parse_segment_name("wal-00000012.log", ns));
   EXPECT_EQ(wal::parse_segment_name("wal-00000012.log", ""), 12u);
 
-  const std::string snap = wal::snapshot_object_name(99, ns);
-  EXPECT_EQ(wal::parse_snapshot_name(snap, ns), 99u);
-  EXPECT_FALSE(wal::parse_snapshot_name(snap, ""));
+  // Checkpoint generations partition the same way, and neither grammar
+  // claims the other's objects.
+  const std::string gen = columnar_object_name(99, ns);
+  EXPECT_EQ(gen, "tenant-000003.ctc-99.col");
+  EXPECT_EQ(parse_columnar_name(gen, ns), 99u);
+  EXPECT_FALSE(parse_columnar_name(gen, ""));
+  EXPECT_FALSE(parse_columnar_name(gen, wal::tenant_namespace(4)));
+  EXPECT_FALSE(wal::parse_segment_name(gen, ns));
+  EXPECT_FALSE(parse_columnar_name(seg, ns));
 }
 
 TEST(WalNamespace, SiblingRecoveryIsByteIdenticalUnderEveryDamageShape) {
@@ -207,13 +213,11 @@ TEST(WalNamespace, SiblingRecoveryIsByteIdenticalUnderEveryDamageShape) {
       LoggedTenant a = start_tenant(storage, ta, ns_a);
       LoggedTenant b = start_tenant(storage, tb, ns_b);
       feed_interleaved(a, ta, b, tb);
-      a.log->checkpoint(*a.monitor);
-      b.log->checkpoint(*b.monitor);
-      a.log->sync();
-      b.log->sync();
+      checkpoint(*a.log, *a.monitor);
+      checkpoint(*b.log, *b.monitor);
     }
 
-    // Damage EVERY object tenant A owns — segments and snapshots alike.
+    // Damage EVERY object tenant A owns — segments and generations alike.
     Prng prng(static_cast<std::uint64_t>(damage) + 1);
     const std::vector<std::string> victims = tenant_objects(storage, ns_a);
     ASSERT_FALSE(victims.empty());
@@ -222,25 +226,26 @@ TEST(WalNamespace, SiblingRecoveryIsByteIdenticalUnderEveryDamageShape) {
     }
 
     // Tenant B's recovery must not notice: same delivered log, same state
-    // digest, no rejected snapshots, no truncation — byte-identical to the
-    // solo run.
-    const RecoveredMonitor rec =
-        recover_monitor(storage, tb.process_count(), tenant_options(tb),
-                        ns_b);
+    // digest, no rejected generations, no truncation — byte-identical to
+    // the solo run.
+    const LadderRecovery rec =
+        recover_with_ladder(storage, tb.process_count(), tenant_options(tb),
+                            ns_b);
     const auto log = rec.monitor->delivery_log();
     ASSERT_EQ(log.size(), solo.delivery.size());
     for (std::size_t i = 0; i < log.size(); ++i) {
       EXPECT_EQ(log[i], solo.delivery[i]) << "delivery[" << i << "]";
     }
     EXPECT_EQ(rec.monitor->state_digest(), solo.digest);
-    EXPECT_EQ(rec.report.snapshots_rejected, 0u);
+    EXPECT_EQ(rec.rung, RecoveryRung::kMapped) << to_string(rec.rung);
+    EXPECT_EQ(rec.health.total_rejected(), 0u);
     EXPECT_FALSE(rec.report.truncated) << rec.report.truncate_detail;
 
     // Tenant A's own recovery stays prefix-consistent (damage absorbed,
     // never thrown on): whatever it recovers is a prefix of A's stream.
-    const RecoveredMonitor rec_a =
-        recover_monitor(storage, ta.process_count(), tenant_options(ta),
-                        ns_a);
+    const LadderRecovery rec_a =
+        recover_with_ladder(storage, ta.process_count(), tenant_options(ta),
+                            ns_a);
     const auto order = ta.delivery_order();
     const auto log_a = rec_a.monitor->delivery_log();
     ASSERT_LE(log_a.size(), order.size());
@@ -258,8 +263,8 @@ TEST(WalNamespace, LegacyNamespaceCoexistsWithTenants) {
     tenant.log->sync();
   }
   for (const std::string& ns : {std::string(), wal::tenant_namespace(5)}) {
-    const RecoveredMonitor rec =
-        recover_monitor(storage, t.process_count(), tenant_options(t), ns);
+    const LadderRecovery rec =
+        recover_with_ladder(storage, t.process_count(), tenant_options(t), ns);
     EXPECT_EQ(rec.monitor->delivery_log().size(), t.delivery_order().size())
         << "ns='" << ns << "'";
     EXPECT_FALSE(rec.report.truncated);
